@@ -3,9 +3,8 @@
 //! Experiment harness for the reproduction of Cohen, *"Estimation for
 //! Monotone Sampling"* (PODC 2014). Every experiment is a [`scenarios`]
 //! registry entry executed by the engine's sharded runner via the
-//! `exp_runner` binary (the per-table `exp_*` binaries remain as thin
-//! aliases; see `DESIGN.md` §4 for the experiment index and
-//! `EXPERIMENTS.md` for the recorded results); Criterion
+//! `exp_runner` binary (the README's experiment table lists them, with
+//! the CSV each one writes under `results/`); Criterion
 //! micro-benchmarks live under `benches/`.
 
 pub mod scenarios;

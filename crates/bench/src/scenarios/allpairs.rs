@@ -235,7 +235,7 @@ fn stage_live(p: &Prepared) -> Result<(u64, f64, bool)> {
     }
     let secs = start.elapsed().as_secs_f64();
     let live = store.live_index()?.expect("live enabled");
-    let rebuilt = store.band_index(&cfg)?;
+    let rebuilt = store.band_index_with(&cfg, &Engine::with_threads(1))?;
     let live_ok =
         live.len() == rebuilt.len() && live.candidate_pairs() == rebuilt.candidate_pairs();
     Ok((live_n as u64 * ITEMS, secs, live_ok))
@@ -278,7 +278,7 @@ fn stage_dist(p: &Prepared, engine: &Engine) -> Result<DistOut> {
     let build_start = Instant::now();
     let dist_index = remote.band_index_with(&cfg, engine)?;
     let build_secs = build_start.elapsed().as_secs_f64();
-    let reference = local.band_index(&cfg)?;
+    let reference = local.band_index_with(&cfg, &Engine::with_threads(1))?;
     let mut matches_local = dist_index.len() == reference.len()
         && dist_index.candidate_pairs() == reference.candidate_pairs();
 

@@ -5,8 +5,7 @@
 //! as (instance-family generator, estimator set, sweep axes, aggregation)
 //! — the shape the engine's runner shards deterministically over its
 //! worker pool. The `exp_runner` binary drives them
-//! (`cargo run --bin exp_runner -- <scenario> [--shards N]`); the legacy
-//! `exp_*` binaries remain as thin aliases calling [`run_main`].
+//! (`cargo run --bin exp_runner -- <scenario> [--shards N]`).
 //!
 //! Every run emits its CSV artifacts plus a machine-readable timing
 //! record `BENCH_<scenario>.json` under `results/`, the same perf-record
@@ -36,9 +35,7 @@ mod similarity;
 use std::path::{Path, PathBuf};
 
 use monotone_core::Result;
-use monotone_engine::{Engine, Registry, Runner, Scenario, ScenarioRun};
-
-use crate::results_dir;
+use monotone_engine::{Registry, Runner, Scenario, ScenarioRun};
 
 /// The full experiment registry, in E-number order.
 pub fn registry() -> Registry {
@@ -113,20 +110,4 @@ pub fn execute(scenario: &dyn Scenario, runner: &Runner, dir: &Path) -> Result<S
         run.name, t.units, t.shards, t.workers, t.elapsed_secs, t.units_per_sec
     );
     Ok(run)
-}
-
-/// Entry point of the thin legacy `exp_*` binaries: run one named
-/// scenario with machine-default engine and sharding, emitting into
-/// `results/`. Exits nonzero on error or unknown name.
-pub fn run_main(name: &str) {
-    let registry = registry();
-    let Some(scenario) = registry.get(name) else {
-        eprintln!("unknown scenario {name:?}; run `exp_runner -- --list`");
-        std::process::exit(2);
-    };
-    let runner = Runner::new(Engine::new());
-    if let Err(e) = execute(scenario, &runner, &results_dir()) {
-        eprintln!("scenario {name} failed: {e}");
-        std::process::exit(1);
-    }
 }

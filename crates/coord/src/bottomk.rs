@@ -278,7 +278,9 @@ impl BottomKSample {
                 "sample claims {n} entries for k = {k}"
             )));
         }
-        let mut entries = Vec::with_capacity(n);
+        // An entry is 24 wire bytes: reserve no more than the payload can
+        // still hold, so a corrupt count fails as truncation below.
+        let mut entries = Vec::with_capacity(n.min(dec.remaining() / 24));
         for _ in 0..n {
             let rank = dec.take_f64()?;
             let key = dec.take_u64()?;
@@ -1102,6 +1104,18 @@ mod tests {
                 "truncation at {cut} slipped through"
             );
         }
+        // An entry count the payload cannot hold is truncation too; it
+        // must not size an allocation first.
+        let mut huge = Enc::new();
+        huge.put_u8(good[0]); // version
+        huge.put_u8(0); // priority ranks
+        huge.put_len(1 << 40); // k
+        huge.put_u8(0); // no next rank
+        huge.put_len(1 << 40); // entries
+        assert!(matches!(
+            BottomKSample::decode(&mut Dec::new(&huge.into_bytes())),
+            Err(monotone_core::Error::Encoding(_))
+        ));
     }
 
     #[test]

@@ -42,8 +42,7 @@
 //! # Cost model
 //!
 //! Building is `O(k + bands)` hashing per instance (one rank-ordered
-//! walk over the sketch; [`band_hashes_into`] reuses caller scratch so
-//! the build hot loop allocates nothing per instance). Pair extraction
+//! walk over the sketch, [`BandConfig::signature`]). Pair extraction
 //! is `Σ |bucket|²` over buckets — the LSH contract is that buckets stay
 //! small because dissimilar instances rarely share a band. Feeding the
 //! index signatures that collide en masse (e.g. one duplicated instance
@@ -60,7 +59,8 @@
 //! # Example
 //!
 //! ```
-//! use monotone_store::banding::{band_hashes, BandConfig, BandIndex};
+//! use monotone_engine::Engine;
+//! use monotone_store::banding::BandConfig;
 //! use monotone_store::SketchStore;
 //!
 //! let store = SketchStore::new(64, 42);
@@ -71,7 +71,7 @@
 //! }
 //!
 //! let cfg = BandConfig::new(8, 2, 7);
-//! let index = store.band_index(&cfg)?;
+//! let index = store.band_index_with(&cfg, &Engine::with_threads(1))?;
 //! let pairs = index.candidate_pairs();
 //! assert!(pairs.contains(&(0, 1)), "near-duplicates must collide");
 //! assert!(pairs.iter().all(|&(a, b)| a < b && b != 2), "disjoint stays out");
@@ -91,9 +91,11 @@
 //! // signature — the live-index query path.
 //! assert_eq!(index.candidates_of_id(0), Some(cands));
 //!
-//! // Band hashes are derived from the sketch alone and are `None` for
-//! // bands with an empty slot.
-//! assert_eq!(band_hashes(&store.sketch(2)?, &cfg).len(), 8);
+//! // Signatures are derived from the sketch alone, one `(band, hash)`
+//! // pair per band whose slots all received a retained key.
+//! let sig = cfg.signature(&store.sketch(2)?);
+//! assert!(sig.len() <= cfg.bands());
+//! assert_eq!(index.signature(2), Some(&*sig));
 //! # Ok::<(), monotone_core::Error>(())
 //! ```
 
@@ -101,6 +103,8 @@ use std::collections::BTreeMap;
 
 use monotone_coord::bottomk::BottomKSample;
 use monotone_coord::seed::splitmix64;
+use monotone_coord::wire::{Dec, Enc};
+use monotone_core::{Error, Result};
 
 /// Shape of a banding signature: `bands` bands of `rows` slots each,
 /// under a slot-hash `salt`.
@@ -171,58 +175,66 @@ impl BandConfig {
     fn slot(&self, key: u64) -> usize {
         (splitmix64(key ^ splitmix64(self.salt ^ SLOT_GAMMA)) % self.slots() as u64) as usize
     }
+
+    /// The indexable band signature of one sketch: a `(band, hash)` pair,
+    /// ascending by band, for every band whose `rows` slots all received
+    /// a retained key. A band with an empty slot is non-indexable and
+    /// left out, so a sketch too sparse to fill any band has an empty
+    /// signature.
+    ///
+    /// Slot values are the minimum-*rank* retained key per slot — the
+    /// coordinated min-hash — obtained by walking the sketch in rank order,
+    /// so two coordinated sketches agree on a slot exactly when the
+    /// least-rank item of that key region is retained by both.
+    pub fn signature(&self, sketch: &BottomKSample) -> Box<[(u32, u64)]> {
+        let mut slots = vec![None; self.slots()];
+        // `iter()` yields retained entries in ascending rank order, so the
+        // first key to claim a slot is the slot's min-rank key.
+        for (key, _w) in sketch.iter() {
+            slots[self.slot(key)].get_or_insert(key);
+        }
+        slots
+            .chunks_exact(self.rows)
+            .enumerate()
+            .filter_map(|(band, band_slots)| {
+                let mut h = splitmix64(self.salt ^ BAND_GAMMA);
+                for slot in band_slots {
+                    h = splitmix64(h ^ splitmix64((*slot)? ^ SLOT_GAMMA));
+                }
+                Some((band as u32, h))
+            })
+            .collect()
+    }
+
+    /// Appends this config's wire form — bands, rows, salt — to `out`.
+    pub fn encode_into(&self, out: &mut Enc) {
+        out.put_len(self.bands);
+        out.put_len(self.rows);
+        out.put_u64(self.salt);
+    }
+
+    /// Decodes a config written by [`BandConfig::encode_into`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Encoding`] on truncation or a zero band or row count.
+    pub fn decode(dec: &mut Dec<'_>) -> Result<BandConfig> {
+        let bands = dec.take_len()?;
+        let rows = dec.take_len()?;
+        let salt = dec.take_u64()?;
+        if bands == 0 || rows == 0 {
+            return Err(Error::Encoding(format!(
+                "degenerate band config {bands}x{rows}"
+            )));
+        }
+        Ok(BandConfig { bands, rows, salt })
+    }
 }
 
 /// Domain-separation constants so the slot hash and the band fold never
 /// coincide with the seed hash or with each other.
 const SLOT_GAMMA: u64 = 0xb5ad_4ece_da1c_e2a9;
 const BAND_GAMMA: u64 = 0x2545_f491_4f6c_dd1d;
-
-/// [`band_hashes`] into caller-provided buffers: `slots` is the slot
-/// scratch (resized/cleared internally), `out` receives the per-band
-/// hashes. Build hot loops call this with two reused buffers so hashing
-/// a sketch allocates nothing; [`band_hashes`] is the allocating
-/// convenience wrapper.
-pub fn band_hashes_into(
-    sketch: &BottomKSample,
-    cfg: &BandConfig,
-    slots: &mut Vec<Option<u64>>,
-    out: &mut Vec<Option<u64>>,
-) {
-    slots.clear();
-    slots.resize(cfg.slots(), None);
-    // `iter()` yields retained entries in ascending rank order, so the
-    // first key to claim a slot is the slot's min-rank key.
-    for (key, _w) in sketch.iter() {
-        let s = cfg.slot(key);
-        if slots[s].is_none() {
-            slots[s] = Some(key);
-        }
-    }
-    out.clear();
-    out.extend((0..cfg.bands).map(|b| {
-        let mut h = splitmix64(cfg.salt ^ BAND_GAMMA);
-        for slot in &slots[b * cfg.rows..(b + 1) * cfg.rows] {
-            h = splitmix64(h ^ splitmix64((*slot)? ^ SLOT_GAMMA));
-        }
-        Some(h)
-    }));
-}
-
-/// The per-band signature hashes of one sketch: entry `b` is the hash of
-/// band `b`'s `rows` slot values, or `None` when any of those slots
-/// received no retained key (the band is non-indexable for this sketch).
-///
-/// Slot values are the minimum-*rank* retained key per slot — the
-/// coordinated min-hash — obtained by walking the sketch in rank order,
-/// so two coordinated sketches agree on a slot exactly when the
-/// least-rank item of that key region is retained by both.
-pub fn band_hashes(sketch: &BottomKSample, cfg: &BandConfig) -> Vec<Option<u64>> {
-    let mut slots = Vec::new();
-    let mut out = Vec::new();
-    band_hashes_into(sketch, cfg, &mut slots, &mut out);
-    out
-}
 
 /// An inverted index from band hashes to instance ids: the candidate
 /// stage of the all-pairs similarity join.
@@ -241,39 +253,30 @@ pub fn band_hashes(sketch: &BottomKSample, cfg: &BandConfig) -> Vec<Option<u64>>
 /// entirely, and [`BandIndex::candidates_of_id`] answers probes for
 /// resident ids off the cache in `O(bands)` bucket lookups. See the
 /// [module docs](self) for the extraction cost model.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BandIndex {
-    cfg: Option<BandConfig>,
+    cfg: BandConfig,
     /// One ordered bucket map per band: band hash → inserted ids.
     buckets: Vec<BTreeMap<u64, Vec<u64>>>,
-    /// id → the `(band, hash)` pairs it is registered under, ascending
-    /// by band: the indexable part of its signature. Ordered so
+    /// id → its [`BandConfig::signature`], the `(band, hash)` pairs it
+    /// is registered under. Ordered so
     /// [`BandIndex::for_each_candidate_block`] walks ids ascending.
     signatures: BTreeMap<u64, Box<[(u32, u64)]>>,
-    /// Reused hashing scratch (never observable through the API).
-    slot_scratch: Vec<Option<u64>>,
-    band_scratch: Vec<Option<u64>>,
 }
 
 impl BandIndex {
     /// An empty index under `cfg`.
     pub fn new(cfg: BandConfig) -> BandIndex {
         BandIndex {
-            cfg: Some(cfg),
+            cfg,
             buckets: vec![BTreeMap::new(); cfg.bands()],
             signatures: BTreeMap::new(),
-            slot_scratch: Vec::new(),
-            band_scratch: Vec::new(),
         }
     }
 
     /// The index's band configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a `Default`-constructed index (which has no config).
     pub fn config(&self) -> &BandConfig {
-        self.cfg.as_ref().expect("BandIndex::new sets the config")
+        &self.cfg
     }
 
     /// Number of distinct inserted instance ids (re-inserting an id does
@@ -308,48 +311,15 @@ impl BandIndex {
     /// This is the live-maintenance primitive: an index updated on every
     /// sketch change stays identical to a from-scratch rebuild.
     pub fn insert(&mut self, id: u64, sketch: &BottomKSample) {
-        let cfg = *self.config();
-        // Move the scratch out so hashing can borrow it while `self`
-        // stays mutable for registration below.
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        let mut bands = std::mem::take(&mut self.band_scratch);
-        band_hashes_into(sketch, &cfg, &mut slots, &mut bands);
-        let new: Box<[(u32, u64)]> = bands
-            .iter()
-            .enumerate()
-            .filter_map(|(band, hash)| hash.map(|h| (band as u32, h)))
-            .collect();
-        self.slot_scratch = slots;
-        self.band_scratch = bands;
-
+        let new = self.cfg.signature(sketch);
         let old = self.signatures.remove(&id).unwrap_or_default();
-        // Band-ascending merge of the old and new signatures: unregister
-        // stale hashes, register fresh ones, skip unchanged bands.
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < new.len() {
-            match (old.get(i), new.get(j)) {
-                (Some(&(ob, oh)), Some(&(nb, _))) if ob < nb => {
-                    self.unregister(ob, oh, id);
-                    i += 1;
-                }
-                (Some(&(ob, oh)), Some(&(nb, nh))) if ob == nb => {
-                    if oh != nh {
-                        self.unregister(ob, oh, id);
-                        self.register(nb, nh, id);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (_, Some(&(nb, nh))) => {
-                    self.register(nb, nh, id);
-                    j += 1;
-                }
-                (Some(&(ob, oh)), None) => {
-                    self.unregister(ob, oh, id);
-                    i += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
+        // Both signatures hold at most `bands` pairs: unregister the
+        // stale ones, register the fresh ones, leave the shared ones.
+        for &(band, hash) in old.iter().filter(|pair| !new.contains(pair)) {
+            self.unregister(band, hash, id);
+        }
+        for &(band, hash) in new.iter().filter(|pair| !old.contains(pair)) {
+            self.register(band, hash, id);
         }
         self.signatures.insert(id, new);
     }
@@ -402,11 +372,7 @@ impl BandIndex {
     pub fn merged(cfg: BandConfig, parts: Vec<BandIndex>) -> BandIndex {
         let mut out = BandIndex::new(cfg);
         for part in parts {
-            assert_eq!(
-                part.cfg,
-                Some(cfg),
-                "merged parts must share one band config"
-            );
+            assert_eq!(part.cfg, cfg, "merged parts must share one band config");
             for (band, bucket) in part.buckets.into_iter().enumerate() {
                 for (hash, ids) in bucket {
                     out.buckets[band].entry(hash).or_default().extend(ids);
@@ -427,18 +393,7 @@ impl BandIndex {
     /// inserted. An all-empty signature (a sketch too sparse to fill any
     /// band) has no candidates.
     pub fn candidates_of(&self, sketch: &BottomKSample) -> Vec<u64> {
-        let cfg = *self.config();
-        let mut out: Vec<u64> = band_hashes(sketch, &cfg)
-            .into_iter()
-            .enumerate()
-            .filter_map(|(band, hash)| hash.map(|h| (band, h)))
-            .filter_map(|(band, h)| self.buckets[band].get(&h))
-            .flatten()
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.candidates_of_signature(&self.cfg.signature(sketch))
     }
 
     /// [`candidates_of`](BandIndex::candidates_of) for an id already in
@@ -534,12 +489,9 @@ impl BandIndex {
     /// and the per-id signatures travel; the bucket maps are derived
     /// state and are rebuilt on decode, so sender and receiver cannot
     /// disagree about bucket contents.
-    pub fn encode_into(&self, out: &mut monotone_coord::wire::Enc) {
-        let cfg = self.config();
+    pub fn encode_into(&self, out: &mut Enc) {
         out.put_u8(WIRE_VERSION);
-        out.put_len(cfg.bands());
-        out.put_len(cfg.rows());
-        out.put_u64(cfg.salt());
+        self.cfg.encode_into(out);
         out.put_len(self.signatures.len());
         for (id, sig) in &self.signatures {
             out.put_u64(*id);
@@ -561,24 +513,16 @@ impl BandIndex {
     /// [`monotone_core::Error::Encoding`] on truncation, an unknown
     /// version, or a signature violating the index invariants (bands out
     /// of range or not strictly ascending).
-    pub fn decode(dec: &mut monotone_coord::wire::Dec<'_>) -> monotone_core::Result<BandIndex> {
-        use monotone_core::Error;
-
+    pub fn decode(dec: &mut Dec<'_>) -> Result<BandIndex> {
         let version = dec.take_u8()?;
         if version != WIRE_VERSION {
             return Err(Error::Encoding(format!(
                 "unknown BandIndex wire version {version}"
             )));
         }
-        let bands = dec.take_len()?;
-        let rows = dec.take_len()?;
-        let salt = dec.take_u64()?;
-        if bands == 0 || rows == 0 {
-            return Err(Error::Encoding(format!(
-                "degenerate band config {bands}x{rows}"
-            )));
-        }
-        let mut index = BandIndex::new(BandConfig::new(bands, rows, salt));
+        let cfg = BandConfig::decode(dec)?;
+        let bands = cfg.bands();
+        let mut index = BandIndex::new(cfg);
         let n = dec.take_len()?;
         for _ in 0..n {
             let id = dec.take_u64()?;
@@ -588,7 +532,9 @@ impl BandIndex {
                     "signature of {sig_len} bands exceeds the {bands}-band config"
                 )));
             }
-            let mut sig = Vec::with_capacity(sig_len);
+            // A (band, hash) pair is 12 wire bytes: reserve no more than
+            // the payload can still hold.
+            let mut sig = Vec::with_capacity(sig_len.min(dec.remaining() / 12));
             for _ in 0..sig_len {
                 let band = dec.take_u32()?;
                 let hash = dec.take_u64()?;
@@ -656,7 +602,7 @@ mod tests {
         let cfg = BandConfig::new(8, 2, 3);
         let a = sketch(64, 9, 0..50);
         let b = sketch(64, 9, 0..50);
-        assert_eq!(band_hashes(&a, &cfg), band_hashes(&b, &cfg));
+        assert_eq!(cfg.signature(&a), cfg.signature(&b));
         let mut index = BandIndex::new(cfg);
         index.insert(10, &a);
         index.insert(20, &b);
@@ -664,19 +610,6 @@ mod tests {
         assert_eq!(index.candidates_of(&a), vec![10, 20]);
         assert_eq!(index.candidates_of_id(10), Some(vec![10, 20]));
         assert_eq!(index.candidates_of_id(99), None);
-    }
-
-    #[test]
-    fn band_hashes_into_reuses_scratch_and_matches_the_wrapper() {
-        let cfg = BandConfig::new(12, 2, 5);
-        let mut slots = Vec::new();
-        let mut out = Vec::new();
-        for n in [3u64, 20, 50, 0] {
-            let s = sketch(16, 9, 0..n);
-            band_hashes_into(&s, &cfg, &mut slots, &mut out);
-            assert_eq!(out, band_hashes(&s, &cfg), "n={n}");
-            assert_eq!(slots.len(), cfg.slots());
-        }
     }
 
     #[test]
@@ -699,7 +632,7 @@ mod tests {
         // band has an empty slot, so nothing is indexable.
         let cfg = BandConfig::new(8, 2, 3);
         let one = sketch(8, 9, [5u64]);
-        assert!(band_hashes(&one, &cfg).iter().all(Option::is_none));
+        assert!(cfg.signature(&one).is_empty());
         let mut index = BandIndex::new(cfg);
         index.insert(1, &one);
         index.insert(2, &one);
@@ -921,8 +854,6 @@ mod tests {
 
     #[test]
     fn wire_round_trip_preserves_signatures_and_candidates() {
-        use monotone_coord::wire::{Dec, Enc};
-
         let cfg = BandConfig::new(12, 2, 5);
         let mut index = BandIndex::new(cfg);
         for id in 0..30u64 {
@@ -957,8 +888,6 @@ mod tests {
 
     #[test]
     fn wire_decode_rejects_corruption() {
-        use monotone_coord::wire::{Dec, Enc};
-
         let cfg = BandConfig::new(4, 1, 3);
         let mut index = BandIndex::new(cfg);
         index.insert(1, &sketch(16, 9, 0..30));
@@ -969,6 +898,16 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = 0xee; // version
         assert!(BandIndex::decode(&mut Dec::new(&bad)).is_err());
+        // Zero bands, then zero rows: the config fields follow the
+        // version byte as two 8-byte counts.
+        for field in [1..9, 9..17] {
+            let mut bad = good.clone();
+            bad[field].fill(0);
+            assert!(matches!(
+                BandIndex::decode(&mut Dec::new(&bad)),
+                Err(Error::Encoding(msg)) if msg.contains("degenerate")
+            ));
+        }
         for cut in 0..good.len() {
             assert!(
                 BandIndex::decode(&mut Dec::new(&good[..cut])).is_err(),

@@ -141,8 +141,8 @@ pub struct GroupEstimate {
 /// nothing — so [`SketchStore::live_candidates_of`] answers "who is
 /// similar to X right now" by gathering shard-local probes, without
 /// rebuilding anything. The gathered answer is kept identical to a
-/// from-scratch [`SketchStore::band_index`] rebuild at every point in
-/// time.
+/// from-scratch [`SketchStore::band_index_with`] rebuild at every point
+/// in time.
 ///
 /// Operations return [`Result`] because a backend can be remote: a
 /// local-only store never fails, a process-sharded one surfaces dead
@@ -246,8 +246,8 @@ impl SketchStore {
     /// Turns on live band-index maintenance under `cfg` (replacing any
     /// previous live config) on **every shard**. Sketches already
     /// resident are indexed immediately, so gathered live answers start
-    /// — and stay — identical to a [`SketchStore::band_index`] rebuild
-    /// under the same `cfg`. Takes `&mut self`: enabling is a setup
+    /// — and stay — identical to a [`SketchStore::band_index_with`]
+    /// rebuild under the same `cfg`. Takes `&mut self`: enabling is a setup
     /// step, not a concurrent operation.
     ///
     /// # Errors
@@ -510,42 +510,22 @@ impl SketchStore {
 
     /// Builds a [`banding::BandIndex`] over every resident sketch — the
     /// candidate stage of an all-pairs similarity join. Each shard
-    /// builds a partial over its own residents under `cfg` and the
-    /// partials are merged in shard order; the result is identical for
-    /// every shard count, process count, and ingest order (the index's
-    /// determinism guarantee), so it can feed byte-reproducible
-    /// pipelines directly.
+    /// builds a partial over its own residents under `cfg`, the partials
+    /// are built across `engine`'s worker pool, and they are merged in
+    /// shard order. A local shard snapshots its sketches under its lock
+    /// (a cheap stream clone, no hashing inside the critical section)
+    /// and hashes after release, so concurrent `ingest` never stalls
+    /// behind a resident build; a process shard hashes entirely inside
+    /// its worker and ships only the finished partial.
     ///
-    /// **Single-threaded convenience**: shard partials are built one
-    /// after another on the calling thread (equivalent to
-    /// [`SketchStore::band_index_with`] under a 1-worker engine).
-    /// Builds over many resident sketches should pass their engine to
-    /// [`SketchStore::band_index_with`] and fan the per-shard builds
-    /// over its worker pool — the result is bit-identical, only the
-    /// wall clock differs. Audited call sites (the `allpairs` scenario,
-    /// live-index enablement) either run the parallel path explicitly
-    /// or build small indexes where thread fan-out costs more than it
-    /// saves.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ShardUnavailable`] when a backend cannot serve.
-    pub fn band_index(&self, cfg: &banding::BandConfig) -> Result<banding::BandIndex> {
-        self.band_index_with(cfg, &Engine::with_threads(1))
-    }
-
-    /// The parallel [`SketchStore::band_index`] build: per-shard
-    /// partial indexes are built across `engine`'s worker pool (each
-    /// shard snapshots its sketches under its lock — a cheap stream
-    /// clone, no hashing inside the critical section — and hashes after
-    /// release; a process shard hashes entirely inside its worker and
-    /// ships only the finished partial) and merged in shard order. The
-    /// result is **bit-identical for every worker count and every
-    /// backend kind** — [`banding::BandIndex`] outputs are
-    /// insertion-order invariant and [`banding::BandIndex::merged`]
-    /// unions are exact — so parallelism and distribution are purely
-    /// wall-clock levers. Concurrent `ingest` never stalls behind a
-    /// resident build.
+    /// The result is **bit-identical for every shard count, process
+    /// count, worker count, backend kind, and ingest order** —
+    /// [`banding::BandIndex`] outputs are insertion-order invariant and
+    /// [`banding::BandIndex::merged`] unions are exact — so it can feed
+    /// byte-reproducible pipelines directly, and parallelism and
+    /// distribution are purely wall-clock levers. Small builds, where
+    /// thread fan-out costs more than it saves, pass
+    /// `&Engine::with_threads(1)`.
     ///
     /// # Errors
     ///
@@ -609,7 +589,7 @@ impl SketchStore {
 
     /// A snapshot of the live band index — the merge of every shard's
     /// live partial (for audits and tests, e.g. comparing against a
-    /// [`SketchStore::band_index`] rebuild). `Ok(None)` when live
+    /// [`SketchStore::band_index_with`] rebuild). `Ok(None)` when live
     /// maintenance is not enabled.
     ///
     /// # Errors
@@ -748,7 +728,9 @@ mod tests {
                 .unwrap();
         }
         let cfg = banding::BandConfig::new(12, 2, 3);
-        let seq = store.band_index(&cfg).unwrap();
+        let seq = store
+            .band_index_with(&cfg, &Engine::with_threads(1))
+            .unwrap();
         for workers in [2usize, 4, 7] {
             let par = store
                 .band_index_with(&cfg, &Engine::with_threads(workers))
@@ -761,7 +743,7 @@ mod tests {
         }
     }
 
-    /// Regression: `band_index` used to hold each shard's mutex across
+    /// Regression: a band build used to hold each shard's mutex across
     /// per-sketch band hashing, so a large resident build stalled every
     /// concurrent `ingest` for its full duration. A shard's partial
     /// build snapshots under the lock and hashes after release — ingest
@@ -783,8 +765,9 @@ mod tests {
             let store = Arc::clone(&store);
             let build_done = Arc::clone(&build_done);
             std::thread::spawn(move || {
+                let cfg = banding::BandConfig::new(8, 2, 5);
                 let index = store
-                    .band_index(&banding::BandConfig::new(8, 2, 5))
+                    .band_index_with(&cfg, &Engine::with_threads(1))
                     .unwrap();
                 build_done.store(true, Ordering::SeqCst);
                 index
@@ -812,6 +795,7 @@ mod tests {
     #[test]
     fn live_index_tracks_ingest_and_evict() {
         let cfg = banding::BandConfig::new(8, 2, 5);
+        let engine = Engine::with_threads(1);
         let store = SketchStore::with_live_index(32, 9, 4, cfg);
         for key in 0..40u64 {
             store.ingest(0, key, 1.0).unwrap();
@@ -820,7 +804,7 @@ mod tests {
         }
         // Live answers equal a from-scratch rebuild right now.
         let live = store.live_index().unwrap().expect("live enabled");
-        let rebuilt = store.band_index(&cfg).unwrap();
+        let rebuilt = store.band_index_with(&cfg, &engine).unwrap();
         assert_eq!(live.candidate_pairs(), rebuilt.candidate_pairs());
         let cands = store.live_candidates_of(0).unwrap();
         assert!(cands.contains(&1), "near-duplicate must be live-visible");
@@ -838,7 +822,7 @@ mod tests {
         assert!(!store.live_candidates_of(0).unwrap().contains(&1));
         assert!(store.live_candidates_of(1).is_err());
         let live = store.live_index().unwrap().expect("live enabled");
-        let rebuilt = store.band_index(&cfg).unwrap();
+        let rebuilt = store.band_index_with(&cfg, &engine).unwrap();
         assert_eq!(live.candidate_pairs(), rebuilt.candidate_pairs());
     }
 
@@ -852,6 +836,7 @@ mod tests {
         assert!(store.live_index().unwrap().is_none());
         let cfg = banding::BandConfig::new(8, 2, 5);
         store.enable_live_index(cfg).unwrap();
+        let engine = Engine::with_threads(1);
         assert!(store.live_candidates_of(0).unwrap().contains(&1));
         // Ingest after enabling keeps maintaining it.
         for key in 0..40u64 {
@@ -861,7 +846,10 @@ mod tests {
         let live = store.live_index().unwrap().expect("live enabled");
         assert_eq!(
             live.candidate_pairs(),
-            store.band_index(&cfg).unwrap().candidate_pairs()
+            store
+                .band_index_with(&cfg, &engine)
+                .unwrap()
+                .candidate_pairs()
         );
     }
 
@@ -872,12 +860,13 @@ mod tests {
         // must register it — with an empty signature — exactly like a
         // rebuild does.
         let cfg = banding::BandConfig::new(8, 2, 5);
+        let engine = Engine::with_threads(1);
         let store = SketchStore::with_live_index(16, 9, 2, cfg);
         store.ingest(5, 1, 0.0).unwrap();
         store.ingest(5, 2, f64::NAN).unwrap();
         assert_eq!(store.live_candidates_of(5).unwrap(), Vec::<u64>::new());
         let live = store.live_index().unwrap().expect("live enabled");
-        let rebuilt = store.band_index(&cfg).unwrap();
+        let rebuilt = store.band_index_with(&cfg, &engine).unwrap();
         assert_eq!(live.len(), rebuilt.len());
         assert_eq!(live.signature(5), rebuilt.signature(5));
     }

@@ -20,14 +20,13 @@ use std::io::{self, Read, Write};
 
 /// Protocol version sent in [`OP_HELLO`] and echoed by the worker. Bump
 /// on any incompatible change to opcodes or payload layouts.
-pub(crate) const PROTO_VERSION: u8 = 1;
+pub(crate) const PROTO_VERSION: u8 = 2;
 
 /// Upper bound on a frame payload — a corrupt length prefix must not
 /// turn into a multi-gigabyte allocation.
 pub(crate) const MAX_FRAME: u32 = 1 << 30;
 
 pub(crate) const OP_HELLO: u8 = 0;
-pub(crate) const OP_INGEST: u8 = 1;
 pub(crate) const OP_INGEST_ALL: u8 = 2;
 pub(crate) const OP_EVICT: u8 = 3;
 pub(crate) const OP_LEN: u8 = 4;

@@ -31,8 +31,8 @@ use monotone_core::{Error, Result};
 use crate::banding::{BandConfig, BandIndex};
 use crate::proto::{
     read_frame, write_frame, MAX_FRAME, OP_BAND_PARTIAL, OP_ENABLE_LIVE, OP_EVICT, OP_HELLO,
-    OP_INGEST, OP_INGEST_ALL, OP_LEN, OP_LIVE_CANDIDATES, OP_LIVE_PARTIAL, OP_LIVE_SIGNATURE,
-    OP_SHUTDOWN, OP_SKETCHES, PROTO_VERSION, STATUS_ERR, STATUS_NOT_APPLICABLE, STATUS_OK,
+    OP_INGEST_ALL, OP_LEN, OP_LIVE_CANDIDATES, OP_LIVE_PARTIAL, OP_LIVE_SIGNATURE, OP_SHUTDOWN,
+    OP_SKETCHES, PROTO_VERSION, STATUS_ERR, STATUS_NOT_APPLICABLE, STATUS_OK,
 };
 use crate::shard::{LocalShard, ShardBackend};
 
@@ -169,22 +169,18 @@ impl ProcessShard {
         }
     }
 
-    /// Maps a malformed-response decode error into the shard's typed
-    /// unavailability error.
-    fn garbled(&self, e: Error) -> Error {
-        self.unavailable(format!("malformed worker response: {e}"))
-    }
-
-    /// One request/response exchange; returns the response body after a
-    /// [`STATUS_OK`] byte. I/O failure kills and reaps the worker, marks
-    /// the connection dead, and fails this and every later call.
-    fn request(&self, payload: Vec<u8>) -> Result<Vec<u8>> {
+    /// One request/response exchange: sends `req`, checks the status
+    /// byte, then runs `read` over the response body, which must consume
+    /// it exactly. I/O failure kills and reaps the worker, marks the
+    /// connection dead, and fails this and every later call; a body
+    /// `read` cannot parse is a malformed response.
+    fn call<T>(&self, req: Enc, read: impl FnOnce(&mut Dec<'_>) -> Result<T>) -> Result<T> {
         let mut guard = self.conn.lock().expect("unpoisoned shard connection");
         let outcome = match &mut *guard {
             ConnState::Dead(reason) => return Err(self.unavailable(reason.clone())),
-            ConnState::Live(conn) => conn.roundtrip(&payload),
+            ConnState::Live(conn) => conn.roundtrip(&req.into_bytes()),
         };
-        let mut resp = match outcome {
+        let resp = match outcome {
             Ok(resp) => resp,
             Err(e) => {
                 let reason = format!("worker i/o failed: {e}");
@@ -196,22 +192,24 @@ impl ProcessShard {
             }
         };
         drop(guard);
-        if resp.is_empty() {
+        let Some((&status, body)) = resp.split_first() else {
             return Err(self.unavailable("empty response frame".to_owned()));
-        }
-        let body = resp.split_off(1);
-        match resp[0] {
-            STATUS_OK => Ok(body),
-            STATUS_NOT_APPLICABLE => Err(Error::NotApplicable("live index not enabled on shard")),
-            STATUS_ERR => {
-                Err(self.unavailable(format!("worker error: {}", String::from_utf8_lossy(&body))))
+        };
+        match status {
+            STATUS_OK => {}
+            STATUS_NOT_APPLICABLE => {
+                return Err(Error::NotApplicable("live index not enabled on shard"))
             }
-            other => Err(self.unavailable(format!("unknown response status {other}"))),
+            STATUS_ERR => {
+                let msg = String::from_utf8_lossy(body);
+                return Err(self.unavailable(format!("worker error: {msg}")));
+            }
+            other => return Err(self.unavailable(format!("unknown response status {other}"))),
         }
-    }
-
-    fn expect_empty(&self, body: Vec<u8>) -> Result<()> {
-        Dec::new(&body).finish().map_err(|e| self.garbled(e))
+        let mut dec = Dec::new(body);
+        read(&mut dec)
+            .and_then(|out| dec.finish().map(|()| out))
+            .map_err(|e| self.unavailable(format!("malformed worker response: {e}")))
     }
 }
 
@@ -228,35 +226,7 @@ impl Drop for ProcessShard {
     }
 }
 
-fn encode_cfg(out: &mut Enc, cfg: &BandConfig) {
-    out.put_len(cfg.bands());
-    out.put_len(cfg.rows());
-    out.put_u64(cfg.salt());
-}
-
-fn decode_cfg(dec: &mut Dec<'_>) -> Result<BandConfig> {
-    let bands = dec.take_len()?;
-    let rows = dec.take_len()?;
-    let salt = dec.take_u64()?;
-    if bands == 0 || rows == 0 {
-        return Err(Error::Encoding(format!(
-            "degenerate band config {bands}x{rows}"
-        )));
-    }
-    Ok(BandConfig::new(bands, rows, salt))
-}
-
 impl ShardBackend for ProcessShard {
-    fn ingest(&self, instance: u64, key: u64, w: f64) -> Result<()> {
-        let mut req = Enc::with_capacity(32);
-        req.put_u8(OP_INGEST);
-        req.put_u64(instance);
-        req.put_u64(key);
-        req.put_f64(w);
-        let body = self.request(req.into_bytes())?;
-        self.expect_empty(body)
-    }
-
     fn ingest_all(&self, instance: u64, items: &[(u64, f64)]) -> Result<()> {
         let mut req = Enc::with_capacity(24 + 16 * items.len());
         req.put_u8(OP_INGEST_ALL);
@@ -266,36 +236,20 @@ impl ShardBackend for ProcessShard {
             req.put_u64(key);
             req.put_f64(w);
         }
-        let body = self.request(req.into_bytes())?;
-        self.expect_empty(body)
+        self.call(req, |_| Ok(()))
     }
 
     fn evict(&self, instance: u64) -> Result<bool> {
         let mut req = Enc::with_capacity(16);
         req.put_u8(OP_EVICT);
         req.put_u64(instance);
-        let body = self.request(req.into_bytes())?;
-        let mut dec = Dec::new(&body);
-        let had = (|| -> Result<bool> {
-            let had = dec.take_u8()? != 0;
-            dec.finish()?;
-            Ok(had)
-        })()
-        .map_err(|e| self.garbled(e))?;
-        Ok(had)
+        self.call(req, |dec| Ok(dec.take_u8()? != 0))
     }
 
     fn len(&self) -> Result<usize> {
         let mut req = Enc::with_capacity(1);
         req.put_u8(OP_LEN);
-        let body = self.request(req.into_bytes())?;
-        let mut dec = Dec::new(&body);
-        (|| -> Result<usize> {
-            let n = dec.take_len()?;
-            dec.finish()?;
-            Ok(n)
-        })()
-        .map_err(|e| self.garbled(e))
+        self.call(req, |dec| dec.take_len())
     }
 
     fn sketches(&self, ids: &[u64]) -> Result<Vec<Option<BottomKSample>>> {
@@ -305,106 +259,85 @@ impl ShardBackend for ProcessShard {
         for &id in ids {
             req.put_u64(id);
         }
-        let body = self.request(req.into_bytes())?;
-        let mut dec = Dec::new(&body);
-        (|| -> Result<Vec<Option<BottomKSample>>> {
-            let mut out = Vec::with_capacity(ids.len());
-            for _ in ids {
-                out.push(match dec.take_u8()? {
-                    0 => None,
-                    1 => Some(BottomKSample::decode(&mut dec)?),
-                    t => return Err(Error::Encoding(format!("bad presence flag {t}"))),
-                });
-            }
-            dec.finish()?;
-            Ok(out)
-        })()
-        .map_err(|e| self.garbled(e))
+        self.call(req, |dec| {
+            ids.iter()
+                .map(|_| match dec.take_u8()? {
+                    0 => Ok(None),
+                    1 => BottomKSample::decode(dec).map(Some),
+                    t => Err(Error::Encoding(format!("bad presence flag {t}"))),
+                })
+                .collect()
+        })
     }
 
     fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex> {
         let mut req = Enc::with_capacity(32);
         req.put_u8(OP_BAND_PARTIAL);
-        encode_cfg(&mut req, cfg);
-        let body = self.request(req.into_bytes())?;
-        let mut dec = Dec::new(&body);
-        (|| -> Result<BandIndex> {
-            let index = BandIndex::decode(&mut dec)?;
-            dec.finish()?;
-            Ok(index)
-        })()
-        .map_err(|e| self.garbled(e))
+        cfg.encode_into(&mut req);
+        self.call(req, BandIndex::decode)
     }
 
     fn enable_live_index(&self, cfg: &BandConfig) -> Result<()> {
         let mut req = Enc::with_capacity(32);
         req.put_u8(OP_ENABLE_LIVE);
-        encode_cfg(&mut req, cfg);
-        let body = self.request(req.into_bytes())?;
-        self.expect_empty(body)
+        cfg.encode_into(&mut req);
+        self.call(req, |_| Ok(()))
     }
 
     fn live_partial(&self) -> Result<BandIndex> {
         let mut req = Enc::with_capacity(1);
         req.put_u8(OP_LIVE_PARTIAL);
-        let body = self.request(req.into_bytes())?;
-        let mut dec = Dec::new(&body);
-        (|| -> Result<BandIndex> {
-            let index = BandIndex::decode(&mut dec)?;
-            dec.finish()?;
-            Ok(index)
-        })()
-        .map_err(|e| self.garbled(e))
+        self.call(req, BandIndex::decode)
     }
 
     fn live_signature(&self, instance: u64) -> Result<Option<Vec<(u32, u64)>>> {
         let mut req = Enc::with_capacity(16);
         req.put_u8(OP_LIVE_SIGNATURE);
         req.put_u64(instance);
-        let body = self.request(req.into_bytes())?;
-        let mut dec = Dec::new(&body);
-        (|| -> Result<Option<Vec<(u32, u64)>>> {
-            let out = match dec.take_u8()? {
-                0 => None,
-                1 => {
-                    let n = dec.take_len()?;
-                    let mut sig = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let band = dec.take_u32()?;
-                        let hash = dec.take_u64()?;
-                        sig.push((band, hash));
-                    }
-                    Some(sig)
-                }
-                t => return Err(Error::Encoding(format!("bad presence flag {t}"))),
-            };
-            dec.finish()?;
-            Ok(out)
-        })()
-        .map_err(|e| self.garbled(e))
+        self.call(req, |dec| match dec.take_u8()? {
+            0 => Ok(None),
+            1 => take_signature(dec).map(Some),
+            t => Err(Error::Encoding(format!("bad presence flag {t}"))),
+        })
     }
 
     fn live_candidates(&self, sig: &[(u32, u64)]) -> Result<Vec<u64>> {
         let mut req = Enc::with_capacity(16 + 12 * sig.len());
         req.put_u8(OP_LIVE_CANDIDATES);
-        req.put_len(sig.len());
-        for &(band, hash) in sig {
-            req.put_u32(band);
-            req.put_u64(hash);
-        }
-        let body = self.request(req.into_bytes())?;
-        let mut dec = Dec::new(&body);
-        (|| -> Result<Vec<u64>> {
-            let n = dec.take_len()?;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(dec.take_u64()?);
-            }
-            dec.finish()?;
-            Ok(out)
-        })()
-        .map_err(|e| self.garbled(e))
+        put_signature(&mut req, sig);
+        self.call(req, |dec| take_list(dec, 8, Dec::take_u64))
     }
+}
+
+/// Decodes a count-prefixed list whose elements take at least
+/// `elem_bytes` wire bytes each. The count comes from another process,
+/// so no more is reserved than the remaining bytes can hold: a corrupt
+/// count fails as a truncated payload, never as a huge allocation.
+fn take_list<'a, T>(
+    dec: &mut Dec<'a>,
+    elem_bytes: usize,
+    mut take: impl FnMut(&mut Dec<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let n = dec.take_len()?;
+    let mut out = Vec::with_capacity(n.min(dec.remaining() / elem_bytes));
+    for _ in 0..n {
+        out.push(take(dec)?);
+    }
+    Ok(out)
+}
+
+/// Appends a band signature: its length, then each `(band, hash)`.
+fn put_signature(out: &mut Enc, sig: &[(u32, u64)]) {
+    out.put_len(sig.len());
+    for &(band, hash) in sig {
+        out.put_u32(band);
+        out.put_u64(hash);
+    }
+}
+
+/// Reads a signature written by [`put_signature`].
+fn take_signature(dec: &mut Dec<'_>) -> Result<Vec<(u32, u64)>> {
+    take_list(dec, 12, |dec| Ok((dec.take_u32()?, dec.take_u64()?)))
 }
 
 /// Serves the shard protocol over an arbitrary byte stream: the worker
@@ -515,22 +448,9 @@ fn try_dispatch(shard: &LocalShard, frame: &[u8]) -> Result<Vec<u8>> {
     let mut out = Enc::new();
     out.put_u8(STATUS_OK);
     match op {
-        OP_INGEST => {
-            let instance = dec.take_u64()?;
-            let key = dec.take_u64()?;
-            let w = dec.take_f64()?;
-            dec.finish()?;
-            shard.ingest(instance, key, w)?;
-        }
         OP_INGEST_ALL => {
             let instance = dec.take_u64()?;
-            let n = dec.take_len()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = dec.take_u64()?;
-                let w = dec.take_f64()?;
-                items.push((key, w));
-            }
+            let items = take_list(&mut dec, 16, |dec| Ok((dec.take_u64()?, dec.take_f64()?)))?;
             dec.finish()?;
             shard.ingest_all(instance, &items)?;
         }
@@ -544,11 +464,7 @@ fn try_dispatch(shard: &LocalShard, frame: &[u8]) -> Result<Vec<u8>> {
             out.put_len(shard.len()?);
         }
         OP_SKETCHES => {
-            let n = dec.take_len()?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(dec.take_u64()?);
-            }
+            let ids = take_list(&mut dec, 8, Dec::take_u64)?;
             dec.finish()?;
             for sketch in shard.sketches(&ids)? {
                 match sketch {
@@ -561,12 +477,12 @@ fn try_dispatch(shard: &LocalShard, frame: &[u8]) -> Result<Vec<u8>> {
             }
         }
         OP_BAND_PARTIAL => {
-            let cfg = decode_cfg(&mut dec)?;
+            let cfg = BandConfig::decode(&mut dec)?;
             dec.finish()?;
             shard.band_partial(&cfg)?.encode_into(&mut out);
         }
         OP_ENABLE_LIVE => {
-            let cfg = decode_cfg(&mut dec)?;
+            let cfg = BandConfig::decode(&mut dec)?;
             dec.finish()?;
             shard.enable_live_index(&cfg)?;
         }
@@ -581,22 +497,12 @@ fn try_dispatch(shard: &LocalShard, frame: &[u8]) -> Result<Vec<u8>> {
                 None => out.put_u8(0),
                 Some(sig) => {
                     out.put_u8(1);
-                    out.put_len(sig.len());
-                    for (band, hash) in sig {
-                        out.put_u32(band);
-                        out.put_u64(hash);
-                    }
+                    put_signature(&mut out, &sig);
                 }
             }
         }
         OP_LIVE_CANDIDATES => {
-            let n = dec.take_len()?;
-            let mut sig = Vec::with_capacity(n);
-            for _ in 0..n {
-                let band = dec.take_u32()?;
-                let hash = dec.take_u64()?;
-                sig.push((band, hash));
-            }
+            let sig = take_signature(&mut dec)?;
             dec.finish()?;
             let candidates = shard.live_candidates(&sig)?;
             out.put_len(candidates.len());
@@ -702,19 +608,20 @@ mod tests {
             [STATUS_OK, PROTO_VERSION]
         );
 
-        // Ingest a couple of observations, then fetch the sketch back
-        // and compare with a local shard fed identically.
+        // Ingest a batch of observations, then fetch the sketch back and
+        // compare with a local shard fed the same items one by one.
         let local = LocalShard::new(8, 42);
+        let mut req = Enc::new();
+        req.put_u8(OP_INGEST_ALL);
+        req.put_u64(3);
+        req.put_len(30);
         for key in 0..30u64 {
             let w = 1.0 + (key % 5) as f64;
             local.ingest(3, key, w).unwrap();
-            let mut req = Enc::new();
-            req.put_u8(OP_INGEST);
-            req.put_u64(3);
             req.put_u64(key);
             req.put_f64(w);
-            assert_eq!(roundtrip(&mut sock, &req.into_bytes()), [STATUS_OK]);
         }
+        assert_eq!(roundtrip(&mut sock, &req.into_bytes()), [STATUS_OK]);
         let mut req = Enc::new();
         req.put_u8(OP_SKETCHES);
         req.put_len(2);
@@ -765,7 +672,7 @@ mod tests {
         // enablement: each answered, none fatal.
         assert_eq!(roundtrip(&mut sock, &[0xAB]).first(), Some(&STATUS_ERR));
         assert_eq!(
-            roundtrip(&mut sock, &[OP_INGEST, 1, 2]).first(),
+            roundtrip(&mut sock, &[OP_INGEST_ALL, 1, 2]).first(),
             Some(&STATUS_ERR)
         );
         let mut req = Enc::new();
@@ -783,6 +690,34 @@ mod tests {
         assert_eq!(dec.take_u8().unwrap(), STATUS_OK);
         assert_eq!(dec.take_len().unwrap(), 0);
         drop(sock); // EOF ends the session cleanly
+        handle.join().expect("serve thread").expect("serve result");
+    }
+
+    /// A count the frame cannot hold is a decode error, never a
+    /// reservation: this 21-byte frame (length prefix, opcode, instance,
+    /// count 2^40) must be answered without sizing an allocation by the
+    /// count, which would abort the worker.
+    #[test]
+    fn serve_rejects_an_item_count_the_frame_cannot_hold() {
+        let (mut sock, handle) = spawn_server();
+        assert_eq!(
+            roundtrip(&mut sock, &hello(8, 7)),
+            [STATUS_OK, PROTO_VERSION]
+        );
+        let mut req = Enc::new();
+        req.put_u8(OP_INGEST_ALL);
+        req.put_u64(3);
+        req.put_len(1 << 40);
+        let req = req.into_bytes();
+        assert_eq!(4 + req.len(), 21);
+        assert_eq!(roundtrip(&mut sock, &req).first(), Some(&STATUS_ERR));
+
+        // The worker still answers, and the bad batch created nothing.
+        let resp = roundtrip(&mut sock, &[OP_LEN]);
+        let mut dec = Dec::new(&resp);
+        assert_eq!(dec.take_u8().unwrap(), STATUS_OK);
+        assert_eq!(dec.take_len().unwrap(), 0);
+        drop(sock);
         handle.join().expect("serve thread").expect("serve result");
     }
 

@@ -50,19 +50,21 @@ use crate::banding::{BandConfig, BandIndex};
 ///   closed pipe) returns [`Error::ShardUnavailable`]; it never blocks
 ///   indefinitely.
 pub trait ShardBackend: std::fmt::Debug + Send + Sync {
-    /// Feeds one `(key, weight)` observation to `instance`'s sketch,
-    /// creating the sketch on first touch. Inactive observations
-    /// (`w <= 0`, non-finite) are ignored, matching
-    /// [`BottomKStream::insert`].
+    /// [`ingest_all`](ShardBackend::ingest_all) of the one item
+    /// `(key, w)`.
     ///
     /// # Errors
     ///
     /// [`Error::ShardUnavailable`] when the backend cannot serve.
-    fn ingest(&self, instance: u64, key: u64, w: f64) -> Result<()>;
+    fn ingest(&self, instance: u64, key: u64, w: f64) -> Result<()> {
+        self.ingest_all(instance, &[(key, w)])
+    }
 
-    /// Bulk ingest of `items` into `instance`'s sketch — one lock
-    /// acquisition (and, for a remote shard, one round trip) for the
-    /// whole batch.
+    /// Bulk ingest of `items` into `instance`'s sketch, creating the
+    /// sketch on first touch — one lock acquisition (and, for a remote
+    /// shard, one round trip) for the whole batch. Inactive observations
+    /// (`w <= 0`, non-finite) are ignored, matching
+    /// [`BottomKStream::insert`].
     ///
     /// # Errors
     ///
@@ -191,22 +193,6 @@ impl LocalShard {
 }
 
 impl ShardBackend for LocalShard {
-    fn ingest(&self, instance: u64, key: u64, w: f64) -> Result<()> {
-        let mut state = self.lock();
-        let state = &mut *state;
-        let (created, stream) = match state.sketches.entry(instance) {
-            Entry::Occupied(e) => (false, e.into_mut()),
-            Entry::Vacant(e) => (true, e.insert(self.sampler.stream())),
-        };
-        let changed = stream.insert(key, w);
-        if created || changed {
-            if let Some(live) = &mut state.live {
-                live.insert(instance, &stream.sample());
-            }
-        }
-        Ok(())
-    }
-
     fn ingest_all(&self, instance: u64, items: &[(u64, f64)]) -> Result<()> {
         let mut state = self.lock();
         let state = &mut *state;

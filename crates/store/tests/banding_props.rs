@@ -20,7 +20,7 @@ use monotone_coord::bottomk::{BottomK, BottomKSample, RankMethod};
 use monotone_coord::instance::Instance;
 use monotone_coord::seed::SeedHasher;
 use monotone_engine::Engine;
-use monotone_store::banding::{band_hashes, BandConfig, BandIndex};
+use monotone_store::banding::{BandConfig, BandIndex};
 use monotone_store::SketchStore;
 use proptest::prelude::*;
 
@@ -116,7 +116,7 @@ proptest! {
         for (id, inst) in pool.iter().enumerate() {
             reference.ingest_all(id as u64, inst.iter()).unwrap();
         }
-        let ref_index = reference.band_index(&cfg).unwrap();
+        let ref_index = reference.band_index_with(&cfg, &Engine::with_threads(1)).unwrap();
         let ref_pairs = ref_index.candidate_pairs();
 
         // Same pool through an n-shard store, ingested in reverse.
@@ -124,7 +124,7 @@ proptest! {
         for (id, inst) in pool.iter().enumerate().rev() {
             sharded.ingest_all(id as u64, inst.iter()).unwrap();
         }
-        let sharded_index = sharded.band_index(&cfg).unwrap();
+        let sharded_index = sharded.band_index_with(&cfg, &Engine::with_threads(1)).unwrap();
         prop_assert_eq!(&sharded_index.candidate_pairs(), &ref_pairs);
 
         // And a hand-built index inserting sketches in reverse order.
@@ -134,7 +134,7 @@ proptest! {
         }
         prop_assert_eq!(&manual.candidate_pairs(), &ref_pairs);
 
-        // Per-probe candidate lists agree too, and band hashes are a
+        // Per-probe candidate lists agree too, and signatures are a
         // pure function of (sketch, config).
         for (id, _) in pool.iter().enumerate() {
             let sketch = reference.sketch(id as u64).unwrap();
@@ -143,8 +143,8 @@ proptest! {
                 sharded_index.candidates_of(&sketch)
             );
             prop_assert_eq!(
-                band_hashes(&sketch, &cfg),
-                band_hashes(&sharded.sketch(id as u64).unwrap(), &cfg)
+                cfg.signature(&sketch),
+                cfg.signature(&sharded.sketch(id as u64).unwrap())
             );
         }
     }
@@ -166,7 +166,7 @@ proptest! {
         for (id, inst) in pool.iter().enumerate() {
             store.ingest_all(id as u64, inst.iter()).unwrap();
         }
-        let sequential = store.band_index(&cfg).unwrap();
+        let sequential = store.band_index_with(&cfg, &Engine::with_threads(1)).unwrap();
         for workers in [1usize, 2, 4] {
             let parallel = store.band_index_with(&cfg, &Engine::with_threads(workers)).unwrap();
             prop_assert_eq!(parallel.len(), sequential.len(), "w={}", workers);

@@ -154,7 +154,7 @@ proptest! {
         let remote = process_store(k, salt, procs);
         ingest_workload(&local, instances, items_per);
         ingest_workload(&remote, instances, items_per);
-        let reference = local.band_index(&cfg).unwrap();
+        let reference = local.band_index_with(&cfg, &Engine::with_threads(1)).unwrap();
         for workers in [1usize, 2, 4] {
             let engine = Engine::with_threads(workers);
             let dist = remote.band_index_with(&cfg, &engine).unwrap();
@@ -220,7 +220,7 @@ fn killed_shard_is_a_typed_error_not_a_hang() {
     // error instead of hanging or returning partial answers.
     assert!(matches!(store.len(), Err(Error::ShardUnavailable { .. })));
     assert!(matches!(
-        store.band_index(&BandConfig::new(8, 2, 5)),
+        store.band_index_with(&BandConfig::new(8, 2, 5), &Engine::with_threads(1)),
         Err(Error::ShardUnavailable { .. })
     ));
     let engine = Engine::with_threads(1);

@@ -1,6 +1,6 @@
 //! Live band-index maintenance contract: a [`SketchStore`] with a live
 //! index enabled must be indistinguishable from a from-scratch
-//! [`SketchStore::band_index`] rebuild after **any** interleaving of
+//! [`SketchStore::band_index_with`] rebuild after **any** interleaving of
 //! ingest and evict operations — the incremental unregister/re-register
 //! path drops nothing, leaks nothing, and never diverges.
 //!
@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use monotone_engine::Engine;
 use monotone_store::banding::{BandConfig, BandIndex};
 use monotone_store::{ProcessShard, ShardBackend, SketchStore};
 use proptest::prelude::*;
@@ -116,12 +117,12 @@ proptest! {
             }
             if checkpoints.contains(&(step + 1)) {
                 let live = store.live_index().unwrap().expect("live enabled");
-                let rebuilt = store.band_index(&cfg).unwrap();
+                let rebuilt = store.band_index_with(&cfg, &Engine::with_threads(1)).unwrap();
                 assert_index_eq(&live, &rebuilt)?;
             }
         }
         let live = store.live_index().unwrap().expect("live enabled");
-        let rebuilt = store.band_index(&cfg).unwrap();
+        let rebuilt = store.band_index_with(&cfg, &Engine::with_threads(1)).unwrap();
         assert_index_eq(&live, &rebuilt)?;
 
         // The live query path agrees with the snapshot too.
