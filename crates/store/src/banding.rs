@@ -29,30 +29,43 @@
 //! blow-up the stage exists to avoid, while skipping costs little recall
 //! because coordinated similar instances have correlated empty patterns.
 //!
-//! [`BandIndex`] is deterministic by construction — buckets are ordered
-//! maps and every query output is sorted — so candidate sets are
-//! byte-identical regardless of insertion order, store shard count, or
-//! worker geometry. The index also keeps each inserted instance's
-//! registered `(band, hash)` signature resident, which is what makes it
-//! **live**: re-inserting an id first unregisters its old signature
-//! (only the bands whose hash actually changed are touched — `O(bands)`
-//! per update), so an index owned by an ingesting store stays equal to a
-//! from-scratch rebuild at every point in time.
+//! [`BandIndex`] is deterministic by construction — every query output
+//! is sorted and deduplicated, and pair extraction walks ids in
+//! ascending order, so nothing depends on the order of the hashed
+//! buckets — and candidate sets are byte-identical regardless of
+//! insertion order, store shard count, or worker geometry. The index
+//! also keeps each inserted instance's registered `(band, hash)`
+//! signature resident, which is what makes it **live**: re-inserting an
+//! id first unregisters its old signature (only the bands whose hash
+//! actually changed are touched — `O(bands)` per update), so an index
+//! owned by an ingesting store stays equal to a from-scratch rebuild at
+//! every point in time.
 //!
 //! # Cost model
 //!
 //! Building is `O(k + bands)` hashing per instance (one rank-ordered
-//! walk over the sketch, [`BandConfig::signature`]). Pair extraction
-//! is `Σ |bucket|²` over buckets — the LSH contract is that buckets stay
-//! small because dissimilar instances rarely share a band. Feeding the
-//! index signatures that collide en masse (e.g. one duplicated instance
-//! a thousand times) degrades gracefully toward the quadratic worst
-//! case, it does not fail. Crucially, extraction **streams**:
-//! [`BandIndex::for_each_candidate_block`] walks instances in ascending
-//! id order, sort-merging each instance's bucket memberships into a
-//! per-id run of deduplicated partners, and hands the caller fixed-size
-//! blocks of globally sorted pairs — peak memory is `O(block + largest
-//! per-id candidate set)`, never `O(total pairs)`.
+//! walk over the sketch, [`BandConfig::signature`]). The index stores
+//! those signatures in an id-ordered map; its bucket table — per band,
+//! a hash map from band hash to the ids registered under it, where a
+//! bucket of one id (most of them, in a large index) holds it inline —
+//! is derived from the signatures and built **once per index**, in one
+//! pass sized from them: by [`BandIndex::merged`], or by the first
+//! probe of an index built with [`BandIndex::insert`] or
+//! [`BandIndex::decode`]. A per-shard partial that is only shipped and
+//! merged carries signatures and never builds a table. Once built, the
+//! table is kept current by `insert` and [`BandIndex::remove`] in
+//! `O(bands)` expected time per call.
+//!
+//! Pair extraction is `Σ |bucket|²` over buckets — the LSH contract is
+//! that buckets stay small because dissimilar instances rarely share a
+//! band. Feeding the index signatures that collide en masse (e.g. one
+//! duplicated instance a thousand times) degrades gracefully toward the
+//! quadratic worst case, it does not fail. Crucially, extraction
+//! **streams**: [`BandIndex::for_each_candidate_block`] walks instances
+//! in ascending id order, collecting each instance's bucket memberships
+//! into a per-id run of sorted, deduplicated partners, and hands the
+//! caller fixed-size blocks of globally sorted pairs — peak memory is
+//! `O(block + largest per-id candidate set)`, never `O(total pairs)`.
 //! [`BandIndex::candidate_pairs`] is the collect-everything convenience
 //! wrapper over the same walk.
 //!
@@ -99,7 +112,8 @@
 //! # Ok::<(), monotone_core::Error>(())
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use monotone_coord::bottomk::BottomKSample;
 use monotone_coord::seed::splitmix64;
@@ -124,7 +138,8 @@ impl BandConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `bands == 0` or `rows == 0`.
+    /// Panics if `bands == 0`, `rows == 0`, or `bands · rows` exceeds
+    /// 2^16 slots.
     ///
     /// # Examples
     ///
@@ -139,6 +154,10 @@ impl BandConfig {
     pub fn new(bands: usize, rows: usize, salt: u64) -> BandConfig {
         assert!(bands > 0, "banding needs at least one band");
         assert!(rows > 0, "banding needs at least one row per band");
+        assert!(
+            bands.checked_mul(rows).is_some_and(|n| n <= MAX_SLOTS),
+            "band config {bands}x{rows} exceeds {MAX_SLOTS} slots"
+        );
         BandConfig { bands, rows, salt }
     }
 
@@ -170,12 +189,6 @@ impl BandConfig {
         (1.0 / self.bands as f64).powf(1.0 / self.rows as f64)
     }
 
-    /// The slot a key feeds, a pure function of `(salt, key)` — shared
-    /// by every instance, which is what makes slot values comparable.
-    fn slot(&self, key: u64) -> usize {
-        (splitmix64(key ^ splitmix64(self.salt ^ SLOT_GAMMA)) % self.slots() as u64) as usize
-    }
-
     /// The indexable band signature of one sketch: a `(band, hash)` pair,
     /// ascending by band, for every band whose `rows` slots all received
     /// a retained key. A band with an empty slot is non-indexable and
@@ -188,16 +201,21 @@ impl BandConfig {
     /// least-rank item of that key region is retained by both.
     pub fn signature(&self, sketch: &BottomKSample) -> Box<[(u32, u64)]> {
         let mut slots = vec![None; self.slots()];
-        // `iter()` yields retained entries in ascending rank order, so the
-        // first key to claim a slot is the slot's min-rank key.
+        // The slot a key feeds is a pure function of `(salt, key)` —
+        // shared by every instance, which is what makes slot values
+        // comparable. `iter()` yields retained entries in ascending rank
+        // order, so the first key to claim a slot is its min-rank key.
+        let slot_salt = splitmix64(self.salt ^ SLOT_GAMMA);
+        let n = self.slots() as u64;
         for (key, _w) in sketch.iter() {
-            slots[self.slot(key)].get_or_insert(key);
+            slots[(splitmix64(key ^ slot_salt) % n) as usize].get_or_insert(key);
         }
+        let band_seed = splitmix64(self.salt ^ BAND_GAMMA);
         slots
             .chunks_exact(self.rows)
             .enumerate()
             .filter_map(|(band, band_slots)| {
-                let mut h = splitmix64(self.salt ^ BAND_GAMMA);
+                let mut h = band_seed;
                 for slot in band_slots {
                     h = splitmix64(h ^ splitmix64((*slot)? ^ SLOT_GAMMA));
                 }
@@ -217,19 +235,30 @@ impl BandConfig {
     ///
     /// # Errors
     ///
-    /// [`Error::Encoding`] on truncation or a zero band or row count.
+    /// [`Error::Encoding`] on truncation, a zero band or row count, or
+    /// more slots than [`BandConfig::new`] accepts — the counts come from
+    /// another process and size allocations.
     pub fn decode(dec: &mut Dec<'_>) -> Result<BandConfig> {
         let bands = dec.take_len()?;
         let rows = dec.take_len()?;
         let salt = dec.take_u64()?;
-        if bands == 0 || rows == 0 {
-            return Err(Error::Encoding(format!(
+        match bands.checked_mul(rows) {
+            Some(1..=MAX_SLOTS) => Ok(BandConfig { bands, rows, salt }),
+            Some(0) => Err(Error::Encoding(format!(
                 "degenerate band config {bands}x{rows}"
-            )));
+            ))),
+            _ => Err(Error::Encoding(format!(
+                "band config {bands}x{rows} exceeds {MAX_SLOTS} slots"
+            ))),
         }
-        Ok(BandConfig { bands, rows, salt })
     }
 }
+
+/// The most signature slots, `bands · rows`, a [`BandConfig`] may have:
+/// far above any useful config (the joins here run 16×2), and small
+/// enough that a config decoded from corrupt bytes cannot size a huge
+/// allocation.
+const MAX_SLOTS: usize = 1 << 16;
 
 /// Domain-separation constants so the slot hash and the band fold never
 /// coincide with the seed hash or with each other.
@@ -240,28 +269,112 @@ const BAND_GAMMA: u64 = 0x2545_f491_4f6c_dd1d;
 /// stage of the all-pairs similarity join.
 ///
 /// Two inserted instances are *candidates* when at least one band hash
-/// matches. The index is deterministic: buckets are ordered maps and
-/// every output is sorted, so [`BandIndex::candidate_pairs`],
-/// [`BandIndex::for_each_candidate_block`], and
-/// [`BandIndex::candidates_of`] are byte-identical for any insertion
-/// order (and hence any store shard count or ingest thread schedule).
+/// matches. The index is deterministic: every output is sorted and
+/// deduplicated, and extraction walks ids in ascending order, so
+/// [`BandIndex::candidate_pairs`], [`BandIndex::for_each_candidate_block`],
+/// and [`BandIndex::candidates_of`] are byte-identical for any insertion
+/// order (and hence any store shard count or ingest thread schedule),
+/// whatever order the hashed buckets keep.
 ///
 /// Each id's registered `(band, hash)` signature stays resident, so the
 /// index supports **incremental maintenance**: [`BandIndex::insert`] is
 /// remove-then-insert (re-registering an id touches only the bands
 /// whose hash changed), [`BandIndex::remove`] unregisters an id
 /// entirely, and [`BandIndex::candidates_of_id`] answers probes for
-/// resident ids off the cache in `O(bands)` bucket lookups. See the
-/// [module docs](self) for the extraction cost model.
+/// resident ids off the cache in `O(bands)` bucket lookups. The bucket
+/// table is derived from the signatures and built once, by
+/// [`BandIndex::merged`] or the first probe; see the
+/// [module docs](self) for the cost model.
 #[derive(Debug, Clone)]
 pub struct BandIndex {
     cfg: BandConfig,
-    /// One ordered bucket map per band: band hash → inserted ids.
-    buckets: Vec<BTreeMap<u64, Vec<u64>>>,
     /// id → its [`BandConfig::signature`], the `(band, hash)` pairs it
     /// is registered under. Ordered so
     /// [`BandIndex::for_each_candidate_block`] walks ids ascending.
     signatures: BTreeMap<u64, Box<[(u32, u64)]>>,
+    /// The bucket table of `signatures`: built by `merged` or the first
+    /// probe, then kept current by `insert` and `remove`.
+    table: OnceLock<Table>,
+}
+
+/// Per band, band hash → the ids registered under it. Band hashes come
+/// from keys outside the program, so the maps keep the standard
+/// collision-resistant hasher.
+type Table = Vec<HashMap<u64, Bucket>>;
+
+/// The ids registered under one band hash. Most buckets of a large index
+/// hold a single id, which is stored inline; a second id moves the
+/// bucket to a `Vec`.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(u64),
+    Many(Vec<u64>),
+}
+
+impl Bucket {
+    fn ids(&self) -> &[u64] {
+        match self {
+            Bucket::One(id) => std::slice::from_ref(id),
+            Bucket::Many(ids) => ids,
+        }
+    }
+
+    fn push(&mut self, id: u64) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(vec![*first, id]),
+            Bucket::Many(ids) => ids.push(id),
+        }
+    }
+}
+
+/// The bucket table of `signatures` under a `bands`-band config, built
+/// in one pass with each band's map sized by the signatures registering
+/// under that band.
+fn build_table(bands: usize, signatures: &BTreeMap<u64, Box<[(u32, u64)]>>) -> Table {
+    let mut per_band = vec![0usize; bands];
+    for sig in signatures.values() {
+        for &(band, _) in sig.iter() {
+            per_band[band as usize] += 1;
+        }
+    }
+    let mut table: Table = per_band.into_iter().map(HashMap::with_capacity).collect();
+    for (&id, sig) in signatures {
+        for &(band, hash) in sig.iter() {
+            register(&mut table, band, hash, id);
+        }
+    }
+    table
+}
+
+fn register(table: &mut Table, band: u32, hash: u64, id: u64) {
+    table[band as usize]
+        .entry(hash)
+        .and_modify(|bucket| bucket.push(id))
+        .or_insert(Bucket::One(id));
+}
+
+fn unregister(table: &mut Table, band: u32, hash: u64, id: u64) {
+    let buckets = &mut table[band as usize];
+    let bucket = buckets
+        .get_mut(&hash)
+        .expect("registered signature hash has a bucket");
+    let emptied = match bucket {
+        Bucket::One(only) => {
+            assert_eq!(*only, id, "registered id is in its bucket");
+            true
+        }
+        Bucket::Many(ids) => {
+            let pos = ids
+                .iter()
+                .position(|&x| x == id)
+                .expect("registered id is in its bucket");
+            ids.swap_remove(pos);
+            ids.is_empty()
+        }
+    };
+    if emptied {
+        buckets.remove(&hash);
+    }
 }
 
 impl BandIndex {
@@ -269,9 +382,15 @@ impl BandIndex {
     pub fn new(cfg: BandConfig) -> BandIndex {
         BandIndex {
             cfg,
-            buckets: vec![BTreeMap::new(); cfg.bands()],
             signatures: BTreeMap::new(),
+            table: OnceLock::new(),
         }
+    }
+
+    /// The bucket table, built from the signatures on first use.
+    fn table(&self) -> &Table {
+        self.table
+            .get_or_init(|| build_table(self.cfg.bands(), &self.signatures))
     }
 
     /// The index's band configuration.
@@ -312,57 +431,40 @@ impl BandIndex {
     /// sketch change stays identical to a from-scratch rebuild.
     pub fn insert(&mut self, id: u64, sketch: &BottomKSample) {
         let new = self.cfg.signature(sketch);
-        let old = self.signatures.remove(&id).unwrap_or_default();
-        // Both signatures hold at most `bands` pairs: unregister the
-        // stale ones, register the fresh ones, leave the shared ones.
-        for &(band, hash) in old.iter().filter(|pair| !new.contains(pair)) {
-            self.unregister(band, hash, id);
-        }
-        for &(band, hash) in new.iter().filter(|pair| !old.contains(pair)) {
-            self.register(band, hash, id);
-        }
-        self.signatures.insert(id, new);
-    }
-
-    /// Unregisters `id` entirely; returns whether it was present.
-    pub fn remove(&mut self, id: u64) -> bool {
-        match self.signatures.remove(&id) {
-            None => false,
-            Some(sig) => {
-                for &(band, hash) in sig.iter() {
-                    self.unregister(band, hash, id);
-                }
-                true
+        let sig = self.signatures.entry(id).or_default();
+        let old = std::mem::replace(sig, new);
+        if let Some(table) = self.table.get_mut() {
+            // Both signatures hold at most `bands` pairs: unregister the
+            // stale ones, register the fresh ones, leave the shared ones.
+            for &(band, hash) in old.iter().filter(|pair| !sig.contains(pair)) {
+                unregister(table, band, hash, id);
+            }
+            for &(band, hash) in sig.iter().filter(|pair| !old.contains(pair)) {
+                register(table, band, hash, id);
             }
         }
     }
 
-    fn register(&mut self, band: u32, hash: u64, id: u64) {
-        self.buckets[band as usize]
-            .entry(hash)
-            .or_default()
-            .push(id);
-    }
-
-    fn unregister(&mut self, band: u32, hash: u64, id: u64) {
-        let bucket = &mut self.buckets[band as usize];
-        let ids = bucket
-            .get_mut(&hash)
-            .expect("registered signature hash has a bucket");
-        let pos = ids
-            .iter()
-            .position(|&x| x == id)
-            .expect("registered id is in its bucket");
-        ids.remove(pos);
-        if ids.is_empty() {
-            bucket.remove(&hash);
+    /// Unregisters `id` entirely; returns whether it was present.
+    pub fn remove(&mut self, id: u64) -> bool {
+        let Some(sig) = self.signatures.remove(&id) else {
+            return false;
+        };
+        if let Some(table) = self.table.get_mut() {
+            for &(band, hash) in sig.iter() {
+                unregister(table, band, hash, id);
+            }
         }
+        true
     }
 
     /// Merges per-worker partial indexes (the parallel blocked build)
-    /// into one, in order. The result is interchangeable with inserting
-    /// every instance into a single index: buckets and signatures are
-    /// the unions, and all sorted query outputs are bit-identical.
+    /// into one, in order. The parts' signatures move into one map as
+    /// they are — parts carry signatures, not tables — and the merged
+    /// bucket table is then built once, in one pass. The result is
+    /// interchangeable with inserting every instance into a single
+    /// index: signatures are the union, and all sorted query outputs are
+    /// bit-identical.
     ///
     /// # Panics
     ///
@@ -370,22 +472,22 @@ impl BandIndex {
     /// two parts contain the same instance id (parts must partition the
     /// instances).
     pub fn merged(cfg: BandConfig, parts: Vec<BandIndex>) -> BandIndex {
-        let mut out = BandIndex::new(cfg);
+        let mut signatures = BTreeMap::new();
         for part in parts {
             assert_eq!(part.cfg, cfg, "merged parts must share one band config");
-            for (band, bucket) in part.buckets.into_iter().enumerate() {
-                for (hash, ids) in bucket {
-                    out.buckets[band].entry(hash).or_default().extend(ids);
-                }
-            }
             for (id, sig) in part.signatures {
                 assert!(
-                    out.signatures.insert(id, sig).is_none(),
+                    signatures.insert(id, sig).is_none(),
                     "merged parts must hold disjoint ids (id {id} duplicated)"
                 );
             }
         }
-        out
+        let table = OnceLock::from(build_table(cfg.bands(), &signatures));
+        BandIndex {
+            cfg,
+            signatures,
+            table,
+        }
     }
 
     /// The sorted, deduplicated ids whose signature shares at least one
@@ -418,10 +520,11 @@ impl BandIndex {
     /// config contribute nothing (a probe from a mismatched config
     /// finds no buckets, it does not panic).
     pub fn candidates_of_signature(&self, sig: &[(u32, u64)]) -> Vec<u64> {
+        let table = self.table();
         let mut out: Vec<u64> = sig
             .iter()
-            .filter_map(|&(band, h)| self.buckets.get(band as usize)?.get(&h))
-            .flatten()
+            .filter_map(|&(band, h)| table.get(band as usize)?.get(&h))
+            .flat_map(Bucket::ids)
             .copied()
             .collect();
         out.sort_unstable();
@@ -452,11 +555,12 @@ impl BandIndex {
         assert!(block > 0, "blocked extraction needs a positive block size");
         let mut buf: Vec<(u64, u64)> = Vec::with_capacity(block.min(1 << 16));
         let mut partners: Vec<u64> = Vec::new();
+        let table = self.table();
         for (&a, sig) in &self.signatures {
             partners.clear();
             for &(band, h) in sig.iter() {
-                if let Some(ids) = self.buckets[band as usize].get(&h) {
-                    partners.extend(ids.iter().copied().filter(|&b| b > a));
+                if let Some(bucket) = table[band as usize].get(&h) {
+                    partners.extend(bucket.ids().iter().copied().filter(|&b| b > a));
                 }
             }
             partners.sort_unstable();
@@ -486,9 +590,10 @@ impl BandIndex {
 
     /// Appends this index's stable, versioned wire form to `out` — how a
     /// remote shard ships a build partial to the router. Only the config
-    /// and the per-id signatures travel; the bucket maps are derived
-    /// state and are rebuilt on decode, so sender and receiver cannot
-    /// disagree about bucket contents.
+    /// and the per-id signatures travel; the bucket table is derived
+    /// state that the receiver builds from the signatures when it first
+    /// probes (or merges), so sender and receiver cannot disagree about
+    /// bucket contents.
     pub fn encode_into(&self, out: &mut Enc) {
         out.put_u8(WIRE_VERSION);
         self.cfg.encode_into(out);
@@ -503,16 +608,18 @@ impl BandIndex {
         }
     }
 
-    /// Decodes one index from `dec`, re-registering every id under its
-    /// signature. The result is interchangeable with the encoded index:
-    /// signatures are bit-identical and every sorted query output
-    /// matches.
+    /// Decodes one index from `dec`. Only signatures are read; the bucket
+    /// table is built by the first probe, or by [`BandIndex::merged`],
+    /// which reads signatures alone. The result is interchangeable with
+    /// the encoded index: signatures are bit-identical and every sorted
+    /// query output matches.
     ///
     /// # Errors
     ///
     /// [`monotone_core::Error::Encoding`] on truncation, an unknown
-    /// version, or a signature violating the index invariants (bands out
-    /// of range or not strictly ascending).
+    /// version, a config [`BandConfig::decode`] rejects, or a signature
+    /// violating the index invariants (bands out of range or not
+    /// strictly ascending).
     pub fn decode(dec: &mut Dec<'_>) -> Result<BandIndex> {
         let version = dec.take_u8()?;
         if version != WIRE_VERSION {
@@ -550,11 +657,7 @@ impl BandIndex {
                 }
                 sig.push((band, hash));
             }
-            let sig: Box<[(u32, u64)]> = sig.into();
-            for &(band, hash) in sig.iter() {
-                index.register(band, hash, id);
-            }
-            if index.signatures.insert(id, sig).is_some() {
+            if index.signatures.insert(id, sig.into()).is_some() {
                 return Err(Error::Encoding(format!("id {id} encoded twice")));
             }
         }
@@ -595,6 +698,23 @@ mod tests {
     #[should_panic(expected = "at least one row")]
     fn zero_rows_panics() {
         BandConfig::new(4, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65536 slots")]
+    fn oversized_config_panics() {
+        BandConfig::new(MAX_SLOTS / 2 + 1, 2, 0);
+    }
+
+    /// `new` and `decode` share one slot cap: every config that can be
+    /// built, and so encoded, also decodes.
+    #[test]
+    fn the_largest_config_round_trips() {
+        let cfg = BandConfig::new(MAX_SLOTS / 2, 2, 9);
+        let mut enc = Enc::new();
+        cfg.encode_into(&mut enc);
+        let bytes = enc.into_bytes();
+        assert_eq!(BandConfig::decode(&mut Dec::new(&bytes)).unwrap(), cfg);
     }
 
     #[test]
@@ -775,6 +895,43 @@ mod tests {
         BandIndex::new(BandConfig::new(4, 1, 0)).for_each_candidate_block(0, |_| {});
     }
 
+    /// Probes `index`, which builds its bucket table, then re-inserts one
+    /// id under another sketch, removes one, inserts a new one, and
+    /// probes again: the table `insert` and `remove` maintained must
+    /// answer like a fresh sequential index over the final sketches.
+    fn assert_probe_mutate_probe(mut index: BandIndex, sketches: &[(u64, BottomKSample)]) {
+        let mut fin: BTreeMap<u64, &BottomKSample> =
+            sketches.iter().map(|(id, s)| (*id, s)).collect();
+        for (id, _) in sketches {
+            assert!(index.candidates_of_id(*id).is_some(), "id={id}");
+        }
+        let (moved, gone, new) = (sketches[0].0, sketches[2].0, 1_000_000);
+        index.insert(moved, &sketches[1].1);
+        fin.insert(moved, &sketches[1].1);
+        assert!(index.remove(gone));
+        fin.remove(&gone);
+        index.insert(new, &sketches[3].1);
+        fin.insert(new, &sketches[3].1);
+
+        let mut fresh = BandIndex::new(*index.config());
+        for (id, s) in &fin {
+            fresh.insert(*id, s);
+        }
+        assert_eq!(index.len(), fresh.len());
+        assert_eq!(index.candidate_pairs(), fresh.candidate_pairs());
+        for id in fresh.ids() {
+            assert_eq!(index.signature(id), fresh.signature(id), "id={id}");
+            assert_eq!(
+                index.candidates_of_id(id),
+                fresh.candidates_of_id(id),
+                "id={id}"
+            );
+            let sketch = fin[&id];
+            assert_eq!(index.candidates_of(sketch), fresh.candidates_of(sketch));
+        }
+        assert_eq!(index.candidates_of_id(gone), None);
+    }
+
     #[test]
     fn merged_partials_equal_a_single_sequential_index() {
         let cfg = BandConfig::new(12, 2, 5);
@@ -801,6 +958,7 @@ mod tests {
                     reference.candidates_of_id(*id)
                 );
             }
+            assert_probe_mutate_probe(merged, &sketches);
         }
     }
 
@@ -855,12 +1013,15 @@ mod tests {
     #[test]
     fn wire_round_trip_preserves_signatures_and_candidates() {
         let cfg = BandConfig::new(12, 2, 5);
-        let mut index = BandIndex::new(cfg);
-        for id in 0..30u64 {
-            index.insert(id, &sketch(24, 9, id * 20..id * 20 + 40));
-        }
+        let mut sketches: Vec<(u64, BottomKSample)> = (0..30u64)
+            .map(|id| (id, sketch(24, 9, id * 20..id * 20 + 40)))
+            .collect();
         // Include an empty-signature id, the sparse-instance edge.
-        index.insert(999, &sketch(8, 9, [5u64]));
+        sketches.push((999, sketch(8, 9, [5u64])));
+        let mut index = BandIndex::new(cfg);
+        for (id, s) in &sketches {
+            index.insert(*id, s);
+        }
 
         let mut enc = Enc::new();
         index.encode_into(&mut enc);
@@ -884,6 +1045,7 @@ mod tests {
         let mut re = Enc::new();
         back.encode_into(&mut re);
         assert_eq!(re.into_bytes(), bytes);
+        assert_probe_mutate_probe(BandIndex::decode(&mut Dec::new(&bytes)).unwrap(), &sketches);
     }
 
     #[test]
@@ -906,6 +1068,23 @@ mod tests {
             assert!(matches!(
                 BandIndex::decode(&mut Dec::new(&bad)),
                 Err(Error::Encoding(msg)) if msg.contains("degenerate")
+            ));
+        }
+        // Config sizes come from another process and must not size an
+        // allocation: 2^40 bands in a 33-byte payload, and a
+        // `bands · rows` product that overflows.
+        for (bands, rows) in [(1usize << 40, 1usize), (1 << 33, 1 << 33)] {
+            let mut enc = Enc::new();
+            enc.put_u8(WIRE_VERSION);
+            enc.put_len(bands);
+            enc.put_len(rows);
+            enc.put_u64(3);
+            enc.put_len(0);
+            let bad = enc.into_bytes();
+            assert_eq!(bad.len(), 33);
+            assert!(matches!(
+                BandIndex::decode(&mut Dec::new(&bad)),
+                Err(Error::Encoding(msg)) if msg.contains("exceeds")
             ));
         }
         for cut in 0..good.len() {

@@ -25,9 +25,10 @@
 //! * **sketch fetch** — batched per backend ([`ShardBackend::sketches`]),
 //!   one call per shard per query batch;
 //! * **band-index builds** — each backend hashes *its own* residents
-//!   into a partial [`banding::BandIndex`]
+//!   into a partial [`banding::BandIndex`] of signatures
 //!   ([`ShardBackend::band_partial`]), and the router unions the
-//!   partials with the deterministic [`banding::BandIndex::merged`];
+//!   partials with the deterministic [`banding::BandIndex::merged`],
+//!   which builds the one bucket table;
 //! * **live similarity** — each shard maintains its own live index
 //!   under ingest/evict, and
 //!   [`SketchStore::live_candidates_of`] *gathers*: it fetches the
@@ -514,9 +515,11 @@ impl SketchStore {
     /// are built across `engine`'s worker pool, and they are merged in
     /// shard order. A local shard snapshots its sketches under its lock
     /// (a cheap stream clone, no hashing inside the critical section)
-    /// and hashes after release, so concurrent `ingest` never stalls
-    /// behind a resident build; a process shard hashes entirely inside
-    /// its worker and ships only the finished partial.
+    /// and samples and hashes after release, so concurrent `ingest`
+    /// never stalls behind a resident build; a process shard hashes
+    /// entirely inside its worker and ships only the finished partial.
+    /// A partial carries signatures only: the merge moves them into one
+    /// map and builds the index's bucket table once, in one pass.
     ///
     /// The result is **bit-identical for every shard count, process
     /// count, worker count, backend kind, and ingest order** —

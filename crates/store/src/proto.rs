@@ -26,6 +26,12 @@ pub(crate) const PROTO_VERSION: u8 = 2;
 /// turn into a multi-gigabyte allocation.
 pub(crate) const MAX_FRAME: u32 = 1 << 30;
 
+/// Upper bound on the `k` an [`OP_HELLO`] configures — far above any
+/// store in this repository (the largest keeps 256 entries), so that a
+/// corrupt hello cannot make the worker's first ingest size a huge
+/// sketch heap.
+pub(crate) const MAX_HELLO_K: usize = 1 << 20;
+
 pub(crate) const OP_HELLO: u8 = 0;
 pub(crate) const OP_INGEST_ALL: u8 = 2;
 pub(crate) const OP_EVICT: u8 = 3;

@@ -30,9 +30,9 @@ use monotone_core::{Error, Result};
 
 use crate::banding::{BandConfig, BandIndex};
 use crate::proto::{
-    read_frame, write_frame, MAX_FRAME, OP_BAND_PARTIAL, OP_ENABLE_LIVE, OP_EVICT, OP_HELLO,
-    OP_INGEST_ALL, OP_LEN, OP_LIVE_CANDIDATES, OP_LIVE_PARTIAL, OP_LIVE_SIGNATURE, OP_SHUTDOWN,
-    OP_SKETCHES, PROTO_VERSION, STATUS_ERR, STATUS_NOT_APPLICABLE, STATUS_OK,
+    read_frame, write_frame, MAX_FRAME, MAX_HELLO_K, OP_BAND_PARTIAL, OP_ENABLE_LIVE, OP_EVICT,
+    OP_HELLO, OP_INGEST_ALL, OP_LEN, OP_LIVE_CANDIDATES, OP_LIVE_PARTIAL, OP_LIVE_SIGNATURE,
+    OP_SHUTDOWN, OP_SKETCHES, PROTO_VERSION, STATUS_ERR, STATUS_NOT_APPLICABLE, STATUS_OK,
 };
 use crate::shard::{LocalShard, ShardBackend};
 
@@ -416,8 +416,10 @@ fn parse_hello(frame: &[u8]) -> Result<(usize, u64)> {
         )));
     }
     let k = dec.take_len()?;
-    if k == 0 {
-        return Err(Error::Encoding("k must be positive".to_owned()));
+    if !(1..=MAX_HELLO_K).contains(&k) {
+        return Err(Error::Encoding(format!(
+            "k = {k} is outside 1..={MAX_HELLO_K}"
+        )));
     }
     let salt = dec.take_u64()?;
     dec.finish()?;
@@ -718,6 +720,53 @@ mod tests {
         assert_eq!(dec.take_u8().unwrap(), STATUS_OK);
         assert_eq!(dec.take_len().unwrap(), 0);
         drop(sock);
+        handle.join().expect("serve thread").expect("serve result");
+    }
+
+    /// A band config's sizes come from the router: 2^40 bands must be
+    /// an error frame before anything is sized by them — the worker holds
+    /// an instance, so even its signature would be — and the worker
+    /// keeps serving.
+    #[test]
+    fn serve_rejects_an_oversized_band_config_and_lives_on() {
+        let (mut sock, handle) = spawn_server();
+        assert_eq!(
+            roundtrip(&mut sock, &hello(8, 7)),
+            [STATUS_OK, PROTO_VERSION]
+        );
+        let mut req = Enc::new();
+        req.put_u8(OP_INGEST_ALL);
+        req.put_u64(3);
+        req.put_len(1);
+        req.put_u64(5);
+        req.put_f64(1.0);
+        assert_eq!(roundtrip(&mut sock, &req.into_bytes()), [STATUS_OK]);
+        let mut req = Enc::new();
+        req.put_u8(OP_ENABLE_LIVE);
+        req.put_len(1 << 40);
+        req.put_len(1);
+        req.put_u64(9);
+        assert_eq!(
+            roundtrip(&mut sock, &req.into_bytes()).first(),
+            Some(&STATUS_ERR)
+        );
+
+        let resp = roundtrip(&mut sock, &[OP_LEN]);
+        let mut dec = Dec::new(&resp);
+        assert_eq!(dec.take_u8().unwrap(), STATUS_OK);
+        assert_eq!(dec.take_len().unwrap(), 1);
+        drop(sock);
+        handle.join().expect("serve thread").expect("serve result");
+    }
+
+    /// The hello's `k` sizes every sketch heap the worker allocates, so a
+    /// `k` no store uses is refused at the handshake.
+    #[test]
+    fn serve_refuses_a_hello_with_an_oversized_k() {
+        let (mut sock, handle) = spawn_server();
+        let resp = roundtrip(&mut sock, &hello(1 << 40, 7));
+        assert_eq!(resp.first(), Some(&STATUS_ERR));
+        assert!(String::from_utf8_lossy(&resp[1..]).contains("k = 1099511627776"));
         handle.join().expect("serve thread").expect("serve result");
     }
 

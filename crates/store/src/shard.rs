@@ -107,7 +107,9 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
     /// Builds a [`BandIndex`] partial over this shard's residents under
     /// `cfg` — hashing runs shard-locally (inside the worker process,
     /// for a remote shard) and only the finished partial ships. The
-    /// router merges partials with [`BandIndex::merged`].
+    /// router merges partials with [`BandIndex::merged`], which builds
+    /// the merged index's bucket table; a partial carries signatures and
+    /// builds a table of its own only if something probes it.
     ///
     /// # Errors
     ///
@@ -239,9 +241,11 @@ impl ShardBackend for LocalShard {
 
     fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex> {
         // Snapshot under the lock (a cheap stream clone — no hashing
-        // inside the critical section), hash after release, so
-        // concurrent ingest never stalls behind a resident build.
-        let mut snaps: Vec<(u64, BottomKStream)> = {
+        // inside the critical section), then sample and hash each
+        // snapshot after release, so concurrent ingest never stalls
+        // behind a resident build. The partial carries signatures only;
+        // whoever probes or merges it builds the bucket table.
+        let snaps: Vec<(u64, BottomKStream)> = {
             let state = self.lock();
             state
                 .sketches
@@ -249,10 +253,9 @@ impl ShardBackend for LocalShard {
                 .map(|(&id, stream)| (id, stream.clone()))
                 .collect()
         };
-        snaps.sort_unstable_by_key(|&(id, _)| id);
         let mut part = BandIndex::new(*cfg);
-        for (id, stream) in &snaps {
-            part.insert(*id, &stream.sample());
+        for (id, stream) in snaps {
+            part.insert(id, &stream.into_sample());
         }
         Ok(part)
     }

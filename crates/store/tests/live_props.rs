@@ -11,6 +11,11 @@
 //! are **spawned worker processes** ([`ProcessShard`]) and requires the
 //! gathered live answers to be bit-identical to the in-process store's
 //! — the distribution transport must be invisible to the live contract.
+//!
+//! Both legs probe every resident id with `live_candidates_of` at each
+//! checkpoint, so a shard's live index is probed, mutated by the next
+//! operations, and probed again: the bucket table the first probe built
+//! must stay current under `insert` and `remove`.
 
 use std::sync::Arc;
 
@@ -88,8 +93,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32).with_rng_seed(0x2014_0615_0009))]
 
     /// After every prefix checkpoint of a random ingest/evict
-    /// interleaving, the incrementally-maintained live index equals a
-    /// from-scratch rebuild of the same store under the same config.
+    /// interleaving, the incrementally-maintained live index — and every
+    /// gathered `live_candidates_of` answer — equals a from-scratch
+    /// rebuild of the same store under the same config.
     #[test]
     fn live_index_equals_rebuild_after_any_interleaving(
         ops in proptest::collection::vec(op_strategy(), 1..120),
@@ -119,18 +125,14 @@ proptest! {
                 let live = store.live_index().unwrap().expect("live enabled");
                 let rebuilt = store.band_index_with(&cfg, &Engine::with_threads(1)).unwrap();
                 assert_index_eq(&live, &rebuilt)?;
+                for id in rebuilt.ids() {
+                    prop_assert_eq!(
+                        store.live_candidates_of(id).expect("resident id"),
+                        rebuilt.candidates_of_id(id).expect("resident id"),
+                        "id={}", id
+                    );
+                }
             }
-        }
-        let live = store.live_index().unwrap().expect("live enabled");
-        let rebuilt = store.band_index_with(&cfg, &Engine::with_threads(1)).unwrap();
-        assert_index_eq(&live, &rebuilt)?;
-
-        // The live query path agrees with the snapshot too.
-        for id in live.ids() {
-            prop_assert_eq!(
-                store.live_candidates_of(id).expect("resident id"),
-                rebuilt.candidates_of_id(id).expect("resident id")
-            );
         }
     }
 
@@ -153,7 +155,9 @@ proptest! {
         local.enable_live_index(cfg).unwrap();
         let mut remote = process_store(k, salt, procs);
         remote.enable_live_index(cfg).unwrap();
-        for op in &ops {
+        let checkpoints: Vec<usize> =
+            [ops.len() / 3, 2 * ops.len() / 3, ops.len()].to_vec();
+        for (step, op) in ops.iter().enumerate() {
             match op {
                 Op::One(instance, key, w) => {
                     local.ingest(*instance, *key, *w).unwrap();
@@ -170,16 +174,18 @@ proptest! {
                     );
                 }
             }
-        }
-        let local_live = local.live_index().unwrap().expect("live enabled");
-        let remote_live = remote.live_index().unwrap().expect("live enabled");
-        assert_index_eq(&remote_live, &local_live)?;
-        for id in local_live.ids() {
-            prop_assert_eq!(
-                remote.live_candidates_of(id).expect("resident id"),
-                local.live_candidates_of(id).expect("resident id"),
-                "id={}", id
-            );
+            if checkpoints.contains(&(step + 1)) {
+                let local_live = local.live_index().unwrap().expect("live enabled");
+                let remote_live = remote.live_index().unwrap().expect("live enabled");
+                assert_index_eq(&remote_live, &local_live)?;
+                for id in local_live.ids() {
+                    prop_assert_eq!(
+                        remote.live_candidates_of(id).expect("resident id"),
+                        local.live_candidates_of(id).expect("resident id"),
+                        "id={}", id
+                    );
+                }
+            }
         }
     }
 }
