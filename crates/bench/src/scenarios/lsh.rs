@@ -7,7 +7,7 @@
 //! sweep unit per drift level.
 //!
 //! Each drift cell runs as **one arity-N group job**: the engine streams
-//! the group's merged item union once ([`Engine::run_group_kernel`]) and
+//! the group's merged item union once ([`Engine::run_kernel`]) and
 //! an overlap kernel counts, per randomization, the coordinated and
 //! independent sample intersections/unions of every instance pair in the
 //! group — membership is re-derived per salt from the kernel's own seed
@@ -164,7 +164,7 @@ impl Scenario for Lsh {
                 // One group job per drift cell: the kernel ignores the
                 // stream seed, so the job is pinned (fixed-seed fast path).
                 let jobs = [GroupJob::new(data.instances(), 0).with_seed(1.0)];
-                let batch = engine.run_group_kernel(&jobs, &kernel)?;
+                let batch = engine.run_kernel(&jobs, &kernel)?;
                 let counts = &batch.pairs[0].estimates;
                 let mut coord = Vec::new();
                 let mut indep = Vec::new();

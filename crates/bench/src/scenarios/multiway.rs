@@ -7,7 +7,7 @@
 //! engine's arity-N surface end to end: for k ∈ {2, 3, 4, 6, 8} it builds
 //! a k-instance group with half-overlapping supports
 //! ([`workload::distinct_group_pool`]) and estimates the k-way union size
-//! through [`Engine::run_groups`] twice — once with the OR family's
+//! through [`Engine::run`] twice — once with the OR family's
 //! registered inverse-probability closed form, once with closed forms
 //! disabled (the generic quadrature L\* over arity-k outcomes) — and
 //! records their agreement alongside the paper-style accuracy measures.
@@ -64,13 +64,13 @@ impl Scenario for Multiway {
                 let group = workload::distinct_group_pool(k, ITEMS_PER_INSTANCE);
                 let jobs = workload::group_jobs(&group, SALTS, 0);
                 let query = EngineQuery::distinct_k(k, SCALE);
-                let batch = engine.run_groups(&jobs, &query)?;
+                let batch = engine.run(&jobs, &query)?;
                 let truth = batch.pairs[0].truth;
                 let summary = &batch.summaries[0];
 
                 // Closed-form vs generic agreement on a salt prefix: the
                 // dispatch decision changes the route, never the estimand.
-                let generic = engine.run_groups(
+                let generic = engine.run(
                     &jobs[..GENERIC_SALTS as usize],
                     &query.clone().without_closed_forms(),
                 )?;

@@ -1,10 +1,10 @@
 //! Item sources: the generic item stream estimation engines consume.
 //!
 //! Every estimation pass in this workspace walks the same shape of
-//! stream: items in ascending key order, each carrying one weight per
-//! instance of the group. [`ItemSource`] abstracts that stream so the
-//! consumer (the batch engine's chunked kernel loop) is agnostic about
-//! *where* the weights come from:
+//! stream: items, each carrying one weight per instance of the group.
+//! [`ItemSource`] abstracts that stream so the consumer (the batch
+//! engine's chunked kernel loop) is agnostic about *where* the weights
+//! come from:
 //!
 //! * [`WeightMerger`] — the exact/full-map source: an N-way merge cursor
 //!   over complete [`Instance`] weight maps. No inclusion correction is
@@ -16,19 +16,17 @@
 //!   *retained entries* of N coordinated [`BottomKSample`]s. Items a
 //!   sketch evicted stream as weight `0.0` (unsampled evidence), and the
 //!   per-sketch conditioned rank thresholds are exposed as per-instance
-//!   **inclusion scales** so kernels apply the paper's
-//!   inverse-probability correction (footnote 1's conditioned reduction)
-//!   for what the sketch dropped.
+//!   PPS scales ([`SketchUnion::conditioned_scales`]) so kernels apply
+//!   the paper's inverse-probability correction (footnote 1's
+//!   conditioned reduction) for what the sketch dropped.
+//! * [`DomainSource`] — an explicit key domain over a group of
+//!   instances, walked in the caller's order.
 //!
-//! An item's inclusion threshold in instance `i` at shared seed `u` is
-//! `u · sᵢ` where `sᵢ` is the source's inclusion scale — the
-//! `(key, weights, inclusion threshold)` contract as data: exact sources
-//! report [`None`] (use the query's own scales), sketch-backed sources
-//! report the conditioned scales a query front end must compile its
-//! kernel with (e.g. `EngineQuery::with_instance_scales`). The engine
-//! itself never consults the scales mid-stream — thresholds are
-//! per-source constants under priority ranks, so the correction lives
-//! entirely in kernel compilation and the hot loop stays unchanged.
+//! Sources stream weights only. A query over a [`SketchUnion`] compiles
+//! its kernel with the union's conditioned scales (e.g.
+//! `EngineQuery::with_instance_scales`): under priority ranks each
+//! sketch's threshold is one constant, so the correction lives entirely
+//! in kernel compilation and the hot loop stays unchanged.
 //!
 //! # Examples
 //!
@@ -61,16 +59,16 @@
 use crate::bottomk::{BottomKSample, RankMethod};
 use crate::instance::{Instance, WeightMerger};
 
-/// A sorted stream of items, each carrying one weight per instance of a
-/// group — the engine's generic item stream.
+/// A stream of items, each carrying one weight per instance of a group —
+/// the engine's generic item stream.
 ///
-/// Contract: [`next_into`](ItemSource::next_into) yields strictly
-/// ascending keys, writing the item's weight in instance `i` to
-/// `weights[i]` (`0.0` where the source has no evidence for the item);
-/// the buffer length must equal [`arity`](ItemSource::arity). Sources
-/// that stream *samples* rather than full maps additionally expose the
-/// per-instance [`inclusion_scales`](ItemSource::inclusion_scales) their
-/// retained items were included under.
+/// Contract: [`next_into`](ItemSource::next_into) yields one key per
+/// call, writing the item's weight in instance `i` to `weights[i]`
+/// (`0.0` where the source has no evidence for the item); the buffer
+/// length must equal [`arity`](ItemSource::arity). The merging sources
+/// ([`WeightMerger`], [`SketchUnion`]) yield strictly ascending keys;
+/// [`DomainSource`] yields the caller's domain verbatim, in its order and
+/// with its duplicates.
 pub trait ItemSource {
     /// Number of instances in the group (the required buffer length).
     fn arity(&self) -> usize;
@@ -78,15 +76,6 @@ pub trait ItemSource {
     /// Advances to the next key of the stream, filling `weights`.
     /// Returns `None` when the stream is exhausted.
     fn next_into(&mut self, weights: &mut [f64]) -> Option<u64>;
-
-    /// Per-instance inclusion scales of the stream's sampling: an item of
-    /// weight `w` was retained in instance `i` iff `w >= u · sᵢ` at the
-    /// item's shared seed `u`. `None` (the default) marks an exact
-    /// source — every active item streams, and a kernel's own query
-    /// scales describe the sampling it should assume.
-    fn inclusion_scales(&self) -> Option<&[f64]> {
-        None
-    }
 }
 
 impl ItemSource for WeightMerger<'_> {
@@ -101,7 +90,7 @@ impl ItemSource for WeightMerger<'_> {
 
 /// A sketch-backed [`ItemSource`]: the key-ascending union of the
 /// retained entries of N coordinated [`BottomKSample`]s, with the
-/// per-sketch conditioned thresholds as inclusion scales.
+/// per-sketch conditioned thresholds as PPS scales.
 ///
 /// Under priority ranks the conditioned threshold of every retained item
 /// of sketch `i` is the one constant `τᵢ`
@@ -179,16 +168,11 @@ impl SketchUnion {
     }
 
     /// The per-sketch conditioned PPS scales (`None` unless every sketch
-    /// was sampled under priority ranks). Same value as
-    /// [`inclusion_scales`](ItemSource::inclusion_scales), without
-    /// needing the trait in scope.
+    /// was sampled under priority ranks): an item of weight `w` was
+    /// retained in sketch `i` iff `w >= u · sᵢ` at its shared seed `u`.
+    /// A query over the union compiles its kernel with these scales.
     pub fn conditioned_scales(&self) -> Option<&[f64]> {
         self.scales.as_deref()
-    }
-
-    /// Restores the cursor to the start of the stream.
-    pub fn rewind(&mut self) {
-        self.pos.fill(0);
     }
 }
 
@@ -224,10 +208,6 @@ impl ItemSource for SketchUnion {
             };
         }
         Some(key)
-    }
-
-    fn inclusion_scales(&self) -> Option<&[f64]> {
-        self.scales.as_deref()
     }
 }
 
@@ -344,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_union_clone_and_rewind_restart_the_stream() {
+    fn sketch_union_clone_restarts_the_stream() {
         let inst = windowed(0, 50);
         let sampler = BottomK::new(10, RankMethod::Priority, SeedHasher::new(8));
         let sketch = sampler.sample_instance(&inst);
@@ -354,8 +334,6 @@ mod tests {
         let first = union.next_into(&mut w);
         let mut cloned = fresh.clone();
         assert_eq!(cloned.next_into(&mut w), first);
-        union.rewind();
-        assert_eq!(union.next_into(&mut w), first);
     }
 
     #[test]
@@ -365,7 +343,6 @@ mod tests {
         let sketch = sampler.sample_instance(&inst);
         let union = SketchUnion::new(std::slice::from_ref(&sketch));
         assert_eq!(union.conditioned_scales(), None);
-        assert_eq!(union.inclusion_scales(), None);
     }
 
     #[test]
@@ -374,7 +351,6 @@ mod tests {
         let b = windowed(1, 20);
         let mut merger = WeightMerger::new([&a, &b]);
         assert_eq!(ItemSource::arity(&merger), 2);
-        assert_eq!(merger.inclusion_scales(), None);
         let mut w = [0.0; 2];
         let mut items = 0;
         while ItemSource::next_into(&mut merger, &mut w).is_some() {

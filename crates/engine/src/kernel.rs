@@ -214,9 +214,8 @@ impl KernelScratch {
 }
 
 /// Prepare-once per-query state with a per-item evaluation hot path —
-/// what [`Engine::run_kernel`](crate::Engine::run_kernel) and
-/// [`Engine::run_group_kernel`](crate::Engine::run_group_kernel) execute
-/// over a batch of jobs.
+/// what [`Engine::run_kernel`](crate::Engine::run_kernel) executes over a
+/// batch of pair, group or source jobs.
 ///
 /// The engine walks each job's item stream (the merged key union of the
 /// job's instance group, or the job's domain), hashes the shared seeds in
@@ -279,9 +278,8 @@ pub trait EstimationKernel: Sync {
     /// at once, adding into `out` and returning how many items carried
     /// sampled evidence. `weights` is row-major `[item][instance]`
     /// (`keys.len() * arity` entries) and `seeds[i]` is item `i`'s shared
-    /// seed — exactly the layout [`ChunkBufs`](crate::Engine) stages, so
-    /// the engine's flush calls this once per chunk instead of once per
-    /// item.
+    /// seed — exactly the layout the engine stages, so its flush calls
+    /// this once per chunk instead of once per item.
     ///
     /// The default forwards to [`evaluate`](EstimationKernel::evaluate)
     /// item by item, so existing kernels keep working unchanged.
@@ -304,14 +302,29 @@ pub trait EstimationKernel: Sync {
         scratch: &mut KernelScratch,
         out: &mut [f64],
     ) -> Result<usize> {
-        let mut sampled = 0;
-        for (i, (&key, &u)) in keys.iter().zip(seeds).enumerate() {
-            if self.evaluate(key, &weights[i * arity..(i + 1) * arity], u, scratch, out)? {
-                sampled += 1;
-            }
-        }
-        Ok(sampled)
+        evaluate_each(self, keys, weights, arity, seeds, scratch, out)
     }
+}
+
+/// The per-item chunk loop: [`EstimationKernel::evaluate`] on every
+/// staged item in item order, counting those with sampled evidence.
+/// Shared by the trait's default `evaluate_many` and by [`FuncKernel`]'s
+/// whenever a slot needs a materialized outcome.
+fn evaluate_each<K: EstimationKernel + ?Sized>(
+    kernel: &K,
+    keys: &[u64],
+    weights: &[f64],
+    arity: usize,
+    seeds: &[f64],
+    scratch: &mut KernelScratch,
+    out: &mut [f64],
+) -> Result<usize> {
+    let mut sampled = 0;
+    for (i, (&key, &u)) in keys.iter().zip(seeds).enumerate() {
+        let row = &weights[i * arity..(i + 1) * arity];
+        sampled += usize::from(kernel.evaluate(key, row, u, scratch, out)?);
+    }
+    Ok(sampled)
 }
 
 /// A closed-form per-item evaluator from raw sampled values (`None` =
@@ -335,9 +348,6 @@ pub enum ClosedForm {
         scales: Vec<f64>,
     },
 }
-
-/// Backward-compatible name from the pair-only kernel layer.
-pub type ClosedPairForm = ClosedForm;
 
 impl ClosedForm {
     /// The estimate from the raw sampled values of every instance
@@ -371,12 +381,6 @@ impl ClosedForm {
                 }
             }
         }
-    }
-
-    /// Pair-shaped convenience over [`ClosedForm::eval`] (kept from the
-    /// arity-2 kernel layer).
-    pub fn eval_pair(&self, v1: Option<f64>, v2: Option<f64>, u: f64) -> f64 {
-        self.eval(&[v1, v2], u)
     }
 
     /// Chunk-wide evaluation over a row-major `[item][instance]` staged
@@ -743,7 +747,7 @@ impl<F: ItemFn + Sync> EstimationKernel for FuncKernel<F> {
 
     /// Batch fast path: when every requested estimator resolved to a
     /// registered closed form, each form sweeps the whole staged chunk
-    /// through [`ClosedForm::eval_chunk`] — the threshold tests run
+    /// through its own chunk-wide `eval_chunk` — the threshold tests run
     /// fused inside the sweep over the row-major weight staging, and
     /// virtual dispatch plus the estimator `match` leave the inner loop
     /// entirely. Any generic slot needs a materialized [`Outcome`] per
@@ -759,15 +763,9 @@ impl<F: ItemFn + Sync> EstimationKernel for FuncKernel<F> {
         out: &mut [f64],
     ) -> Result<usize> {
         if self.needs_outcome {
-            // Generic estimators materialize per-item outcomes; keep the
-            // per-item loop (identical to the trait default).
-            let mut sampled = 0;
-            for (i, (&key, &u)) in keys.iter().zip(seeds).enumerate() {
-                if self.evaluate(key, &weights[i * arity..(i + 1) * arity], u, scratch, out)? {
-                    sampled += 1;
-                }
-            }
-            return Ok(sampled);
+            // Generic estimators materialize per-item outcomes: the trait
+            // default's per-item loop.
+            return evaluate_each(self, keys, weights, arity, seeds, scratch, out);
         }
         debug_assert_eq!(arity, self.scales.len());
         // Every form's sweep observes the same sampled-evidence count
@@ -828,11 +826,11 @@ mod tests {
         let lstar = forms.lstar.expect("registered");
         assert!(forms.ustar.is_none());
         // Known entries 0.4 (prob 0.4) and 0.7 (prob 0.35): q = 0.4.
-        let e = lstar.eval_pair(Some(0.4), Some(0.7), 0.1);
+        let e = lstar.eval(&[Some(0.4), Some(0.7)], 0.1);
         assert!((e - 1.0 / 0.4).abs() < 1e-15, "got {e}");
         // Single known entry above its scale: prob 1, estimate 1.
-        assert_eq!(lstar.eval_pair(None, Some(2.5), 0.9), 1.0);
-        assert_eq!(lstar.eval_pair(None, None, 0.5), 0.0);
+        assert_eq!(lstar.eval(&[None, Some(2.5)], 0.9), 1.0);
+        assert_eq!(lstar.eval(&[None, None], 0.5), 0.0);
     }
 
     #[test]

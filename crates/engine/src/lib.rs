@@ -20,14 +20,13 @@
 //!
 //! * **kernels** — an [`EngineQuery`] builder selects a function family
 //!   ([`RGp+`](monotone_core::func::RangePowPlus), distinct-count OR at
-//!   any arity, min/max, linear forms) over per-instance PPS scales and
-//!   compiles it into an [`EstimationKernel`]: prepare-once state,
-//!   per-item `evaluate` over the item's weights in every instance of the
-//!   group, with reusable scratch. Custom kernels plug straight into
-//!   [`Engine::run_kernel`]/[`Engine::run_group_kernel`] — the scenario
-//!   registry runs variance sweeps, probe-seed estimate curves,
-//!   sample-overlap counting, and sketch-pair similarity through the same
-//!   batch loop;
+//!   any arity, linear forms) over per-instance PPS scales and compiles
+//!   it into an [`EstimationKernel`]: prepare-once state, per-item
+//!   `evaluate` over the item's weights in every instance of the group,
+//!   with reusable scratch. Custom kernels plug straight into
+//!   [`Engine::run_kernel`] — the scenario registry runs variance sweeps,
+//!   probe-seed estimate curves, sample-overlap counting, and sketch-pair
+//!   similarity through the same batch loop;
 //! * **closed-form registration** — function families register their
 //!   closed forms per scheme ([`KernelFunc`]); `RGp+` under a common
 //!   scale dispatches to [`RgPlusLStar`] (`p ∈ {1, 2}`) and
@@ -35,21 +34,19 @@
 //!   inverse-probability form for **any arity**, and only genuinely
 //!   generic problems pay for quadrature;
 //! * **item sources** — every job streams its items through the same
-//!   stream protocol: a cursor yielding keys in ascending order with one
-//!   weight per instance of the group, abstracted as [`ItemSource`].
-//!   [`WeightMerger`] is the exact full-map source for arity-N groups
-//!   (pairs and arity-2 groups take [`merged_weights`], the
-//!   tuple-yielding specialization that keeps both weights in
-//!   registers — the CI-gated hot path), [`DomainSource`] walks an
-//!   explicit key domain, and [`SketchUnion`] streams the retained union
-//!   of N coordinated bottom-k sketches with per-instance conditioned
-//!   inclusion scales —
-//!   compile a query with those scales
-//!   ([`EngineQuery::with_instance_scales`]) and the kernels apply the
-//!   paper's inverse-probability correction for items the sketches
-//!   dropped, through the very same hot loop. Ad-hoc sources run as
-//!   [`SourceJob`]s via [`Engine::run_sources`] /
-//!   [`Engine::run_source_kernel`];
+//!   stream protocol: a cursor yielding keys with one weight per instance
+//!   of the group, abstracted as [`ItemSource`]. [`WeightMerger`] is the
+//!   exact full-map source for arity-N groups (pairs and arity-2 groups
+//!   take [`merged_weights`], the tuple-yielding specialization that
+//!   keeps both weights in registers — the CI-gated hot path),
+//!   [`DomainSource`] walks an explicit key domain, and [`SketchUnion`]
+//!   streams the retained union of N coordinated bottom-k sketches, whose
+//!   [`conditioned_scales`](SketchUnion::conditioned_scales) a query
+//!   compiles with ([`EngineQuery::with_instance_scales`]) so the kernels
+//!   apply the paper's inverse-probability correction for items the
+//!   sketches dropped, through the very same hot loop. Ad-hoc sources run
+//!   as [`SourceJob`]s through the same [`Engine::run`] /
+//!   [`Engine::run_kernel`] as pair and group jobs;
 //! * **chunked hot loop** — whatever the source, its item stream is
 //!   staged into row-major `[item][instance]` chunks of 64 items, and
 //!   each chunk is processed by exactly two batch calls: one
@@ -89,7 +86,7 @@
 //! let group = [a, b, c];
 //! let jobs: Vec<GroupJob> = (0..16).map(|salt| GroupJob::new(&group, salt)).collect();
 //! let distinct = EngineQuery::distinct_k(3, 2.0);
-//! let batch = Engine::new().run_groups(&jobs, &distinct).unwrap();
+//! let batch = Engine::new().run(&jobs, &distinct).unwrap();
 //! assert_eq!(batch.pairs[0].truth, 160.0); // keys 0..160 active somewhere
 //! assert!((batch.summaries[0].mean_estimate - 160.0).abs() < 16.0);
 //! ```
@@ -107,8 +104,7 @@ pub mod scenario;
 pub mod workload;
 
 pub use kernel::{
-    ClosedForm, ClosedForms, ClosedPairForm, EstimationKernel, FuncKernel, KernelFunc,
-    KernelScratch,
+    ClosedForm, ClosedForms, EstimationKernel, FuncKernel, KernelFunc, KernelScratch,
 };
 pub use pool::chunk_bounds;
 pub use runner::{CsvArtifact, Runner, ScenarioRun, ScenarioTiming};
@@ -118,7 +114,7 @@ pub use monotone_coord::source::{DomainSource, ItemSource, SketchUnion};
 
 use monotone_coord::instance::{merged_weights, Instance, WeightMerger};
 use monotone_coord::seed::SeedHasher;
-use monotone_core::func::{DistinctOr, LinearAbsPow, RangePowPlus, TupleMax, TupleMin};
+use monotone_core::func::{DistinctOr, LinearAbsPow, RangePowPlus};
 use monotone_core::quad::QuadConfig;
 use monotone_core::Result;
 
@@ -158,10 +154,6 @@ enum FuncSpec {
     RgPlus { p: f64 },
     /// The OR indicator (distinct count) over `arity` instances.
     Distinct { arity: usize },
-    /// `min(v1, v2)` (pairs).
-    TupleMin,
-    /// `max(v1, v2)` (pairs).
-    TupleMax,
     /// `|a·v1 + b·v2 + offset|^p` (pairs).
     LinearAbs { a: f64, b: f64, offset: f64, p: f64 },
 }
@@ -179,16 +171,18 @@ impl FuncSpec {
 /// coordinated PPS with per-instance scales, for a set of estimators.
 ///
 /// A query is a *builder* for an [`EstimationKernel`]: constructors pick
-/// the function family (and, for the arity-generic families, the group
-/// arity), [`with_scales`](EngineQuery::with_scales) /
-/// [`with_instance_scales`](EngineQuery::with_instance_scales) set
+/// the function family (`RGp+`, distinct count, linear forms; and, for
+/// the arity-generic distinct count, the group arity),
+/// [`with_instance_scales`](EngineQuery::with_instance_scales) sets
 /// per-instance sampling scales,
 /// [`with_estimators`](EngineQuery::with_estimators) the estimator set,
 /// and [`kernel`](EngineQuery::kernel) compiles the prepared state
-/// [`Engine::run`] and [`Engine::run_groups`] execute. Closed forms
-/// registered by the family are used automatically;
+/// [`Engine::run`] executes. Closed forms registered by the family are
+/// used automatically;
 /// [`without_closed_forms`](EngineQuery::without_closed_forms) forces the
-/// generic paths (agreement checks, baseline measurements).
+/// generic paths (agreement checks, baseline measurements). Other
+/// families, `min`/`max` sums among them, compile through
+/// [`FuncKernel::auto`] and run with [`Engine::run_kernel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineQuery {
     func: FuncSpec,
@@ -243,16 +237,6 @@ impl EngineQuery {
         EngineQuery::with_func(FuncSpec::Distinct { arity }, scale)
     }
 
-    /// A `min(v1, v2)` query (e.g. the numerator of weighted Jaccard).
-    pub fn tuple_min(scale: f64) -> EngineQuery {
-        EngineQuery::with_func(FuncSpec::TupleMin, scale)
-    }
-
-    /// A `max(v1, v2)` query (e.g. the denominator of weighted Jaccard).
-    pub fn tuple_max(scale: f64) -> EngineQuery {
-        EngineQuery::with_func(FuncSpec::TupleMax, scale)
-    }
-
     /// An `|a·v1 + b·v2 + offset|^p` query (Example 1's `G`-style forms).
     ///
     /// # Panics
@@ -265,17 +249,11 @@ impl EngineQuery {
         EngineQuery::with_func(FuncSpec::LinearAbs { a, b, offset, p }, scale)
     }
 
-    /// Sets the two per-instance PPS scales of a pair query (constructors
-    /// start from a common scale). Closed forms that require a common
-    /// scale deregister themselves automatically. For arity-N queries use
-    /// [`with_instance_scales`](EngineQuery::with_instance_scales).
-    pub fn with_scales(self, scale_a: f64, scale_b: f64) -> EngineQuery {
-        self.with_instance_scales(&[scale_a, scale_b])
-    }
-
-    /// Replaces the full per-instance scale vector (one scale per
-    /// instance of the job group). The length must match the query's
-    /// arity — a mismatch surfaces as a typed error at kernel-build time.
+    /// Replaces the per-instance scale vector (one scale per instance of
+    /// the job group; constructors start from a common scale). The length
+    /// must match the query's arity — a mismatch surfaces as a typed error
+    /// at kernel-build time. Closed forms that require a common scale
+    /// deregister themselves automatically.
     pub fn with_instance_scales(mut self, scales: &[f64]) -> EngineQuery {
         self.scales = scales.to_vec();
         self
@@ -359,8 +337,6 @@ impl EngineQuery {
         match &self.func {
             FuncSpec::RgPlus { p } => build(RangePowPlus::new(*p), self),
             FuncSpec::Distinct { arity } => build(DistinctOr::new(*arity), self),
-            FuncSpec::TupleMin => build(TupleMin::new(2), self),
-            FuncSpec::TupleMax => build(TupleMax::new(2), self),
             FuncSpec::LinearAbs { a, b, offset, p } => {
                 build(LinearAbsPow::new(vec![*a, *b], *offset, *p), self)
             }
@@ -512,6 +488,48 @@ impl<S: ItemSource> SourceJob<S> {
     }
 }
 
+/// A job [`Engine::run`] and [`Engine::run_kernel`] accept: a
+/// [`PairJob`], a [`GroupJob`] or a [`SourceJob`]. The trait is sealed —
+/// those three are its only implementations — so it names the engine's
+/// job shapes rather than opening an extension point; new inputs enter
+/// as [`ItemSource`]s inside a `SourceJob`.
+pub trait Job: Sync + sealed::Sealed {
+    /// Runs this one job through `kernel`, whose label count is `width`
+    /// (what each worker of a batch does per job).
+    #[doc(hidden)]
+    fn execute(&self, kernel: &dyn EstimationKernel, width: usize) -> Result<PairResult>;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::PairJob<'_> {}
+    impl Sealed for super::GroupJob<'_> {}
+    impl<S> Sealed for super::SourceJob<S> {}
+}
+
+impl Job for PairJob<'_> {
+    fn execute(&self, kernel: &dyn EstimationKernel, width: usize) -> Result<PairResult> {
+        let pair = [self.a, self.b];
+        run_instances(kernel, width, &pair, self.salt, self.seed, self.domain)
+    }
+}
+
+impl Job for GroupJob<'_> {
+    fn execute(&self, kernel: &dyn EstimationKernel, width: usize) -> Result<PairResult> {
+        let instances: Vec<&Instance> = self.instances.iter().collect();
+        run_instances(kernel, width, &instances, self.salt, self.seed, self.domain)
+    }
+}
+
+impl<S: ItemSource + Clone + Sync> Job for SourceJob<S> {
+    fn execute(&self, kernel: &dyn EstimationKernel, width: usize) -> Result<PairResult> {
+        let mut source = self.source.clone();
+        run_job(kernel, width, source.arity(), self.salt, self.seed, |run| {
+            stream_into_run(run, &mut source)
+        })
+    }
+}
+
 /// Per-job output: one estimate per kernel column, plus the exact value
 /// (cheap to carry along — the engine already visits every item).
 #[derive(Debug, Clone, PartialEq)]
@@ -589,99 +607,55 @@ impl Engine {
         self.threads
     }
 
-    /// Runs a pair batch: every job through every estimator of the
-    /// query, with the query compiled into its kernel once
-    /// ([`EngineQuery::kernel`]) and shared read-only by the workers.
+    /// Runs a batch of [`PairJob`]s, [`GroupJob`]s or [`SourceJob`]s:
+    /// every job through every estimator of the query, with the query
+    /// compiled into its kernel once ([`EngineQuery::kernel`]) and shared
+    /// read-only by the workers.
     ///
     /// # Errors
     ///
-    /// Returns an error if a query scale is invalid or outcome assembly
-    /// fails (corrupted instance data).
-    pub fn run(&self, jobs: &[PairJob<'_>], query: &EngineQuery) -> Result<BatchResult> {
+    /// Returns an error if a query scale is invalid, the query arity
+    /// differs from a job's group arity, a streamed weight is invalid, or
+    /// outcome assembly fails (corrupted instance data).
+    pub fn run<J: Job>(&self, jobs: &[J], query: &EngineQuery) -> Result<BatchResult> {
         let kernel = query.kernel()?;
         self.run_kernel(jobs, kernel.as_ref())
     }
 
-    /// Runs an arity-N group batch: [`Engine::run`] over [`GroupJob`]s.
+    /// Runs a batch through an explicit [`EstimationKernel`] — the entry
+    /// point for custom kernels (oracle sweeps, probe curves, payload
+    /// kernels); [`Engine::run`] is this with the query's own kernel. The
+    /// kernel's `evaluate` receives each item's weights in every instance
+    /// of the job's group.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if a query scale is invalid, the query arity
-    /// differs from a job's group arity, or outcome assembly fails.
-    pub fn run_groups(&self, jobs: &[GroupJob<'_>], query: &EngineQuery) -> Result<BatchResult> {
-        let kernel = query.kernel()?;
-        self.run_group_kernel(jobs, kernel.as_ref())
-    }
-
-    /// Runs a pair batch through an explicit [`EstimationKernel`] — the
-    /// entry point for custom pair kernels (oracle sweeps, probe curves,
-    /// payload kernels). [`Engine::run`] is this with the query's own
-    /// kernel.
+    /// A [`SourceJob`]'s reported `truth` is the exact aggregate **over
+    /// the stream**: for exact sources that is the true value; for
+    /// sketch-backed sources it is the aggregate of the retained union
+    /// (the estimates, not the stream truth, are the store's answer —
+    /// they correct for what the sketches dropped).
     ///
     /// # Errors
     ///
     /// Propagates the first error any job's evaluation reports.
-    pub fn run_kernel(
+    pub fn run_kernel<J: Job>(
         &self,
-        jobs: &[PairJob<'_>],
+        jobs: &[J],
         kernel: &dyn EstimationKernel,
     ) -> Result<BatchResult> {
         let labels = kernel.labels();
         let width = labels.len();
-        let results = self.map_chunked(jobs, |_, job| run_pair_job(kernel, width, job));
+        let results = self.map_chunked(jobs, |_, job| job.execute(kernel, width));
         let pairs = results.into_iter().collect::<Result<Vec<PairResult>>>()?;
         Ok(summarize(labels, pairs))
     }
 
-    /// Runs an arity-N group batch through an explicit
-    /// [`EstimationKernel`]: the kernel's `evaluate` receives each item's
-    /// weights in every instance of the job's group.
+    /// [`Engine::run_kernel`] over [`SourceJob`]s. It stays only because
+    /// the repository benchmark (`perfbench/src/traced.rs`) calls it; new
+    /// code calls `run_kernel`.
     ///
     /// # Errors
     ///
-    /// Propagates the first error any job's evaluation reports.
-    pub fn run_group_kernel(
-        &self,
-        jobs: &[GroupJob<'_>],
-        kernel: &dyn EstimationKernel,
-    ) -> Result<BatchResult> {
-        let labels = kernel.labels();
-        let width = labels.len();
-        let results = self.map_chunked(jobs, |_, job| run_group_job(kernel, width, job));
-        let pairs = results.into_iter().collect::<Result<Vec<PairResult>>>()?;
-        Ok(summarize(labels, pairs))
-    }
-
-    /// Runs a batch of explicit [`ItemSource`] jobs — the entry point for
-    /// sketch-backed streams ([`SketchUnion`]) and any other source that
-    /// is not a borrowed instance group. Each worker clones its job's
-    /// un-advanced cursor, so the batch is deterministic at every thread
-    /// count like the pair and group paths.
-    ///
-    /// The reported `truth` is the exact aggregate **over the stream**:
-    /// for exact sources that is the true value; for sketch-backed
-    /// sources it is the aggregate of the retained union (the estimates,
-    /// not the stream truth, are the store's answer — they correct for
-    /// what the sketches dropped).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a query scale is invalid, the query arity
-    /// differs from a source's arity, or a streamed weight is invalid.
-    pub fn run_sources<S>(&self, jobs: &[SourceJob<S>], query: &EngineQuery) -> Result<BatchResult>
-    where
-        S: ItemSource + Clone + Sync,
-    {
-        let kernel = query.kernel()?;
-        self.run_source_kernel(jobs, kernel.as_ref())
-    }
-
-    /// Runs [`ItemSource`] jobs through an explicit [`EstimationKernel`]
-    /// ([`Engine::run_sources`] is this with the query's own kernel).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error any job's evaluation reports.
+    /// See [`Engine::run_kernel`].
     pub fn run_source_kernel<S>(
         &self,
         jobs: &[SourceJob<S>],
@@ -690,11 +664,7 @@ impl Engine {
     where
         S: ItemSource + Clone + Sync,
     {
-        let labels = kernel.labels();
-        let width = labels.len();
-        let results = self.map_chunked(jobs, |_, job| run_source_job(kernel, width, job));
-        let pairs = results.into_iter().collect::<Result<Vec<PairResult>>>()?;
-        Ok(summarize(labels, pairs))
+        self.run_kernel(jobs, kernel)
     }
 }
 
@@ -759,8 +729,8 @@ impl ChunkBufs {
     }
 }
 
-/// Per-job execution state shared by the pair and group paths: staging
-/// buffers, scratch, accumulators, and the chunk flush.
+/// Per-job execution state every job shape shares: staging buffers,
+/// scratch, accumulators, and the chunk flush.
 struct JobRun<'k> {
     kernel: &'k dyn EstimationKernel,
     seeder: SeedHasher,
@@ -772,32 +742,7 @@ struct JobRun<'k> {
     sampled_items: usize,
 }
 
-impl<'k> JobRun<'k> {
-    fn new(
-        kernel: &'k dyn EstimationKernel,
-        width: usize,
-        arity: usize,
-        salt: u64,
-        seed: Option<f64>,
-    ) -> JobRun<'k> {
-        let mut bufs = ChunkBufs::new(arity);
-        if let Some(u) = seed {
-            // Fixed-seed jobs (probe curves) never hash: the seed buffer
-            // is filled once here and reused by every chunk.
-            bufs.seeds.fill(u);
-        }
-        JobRun {
-            kernel,
-            seeder: SeedHasher::new(salt),
-            fixed_seed: seed.is_some(),
-            bufs,
-            scratch: KernelScratch::new(),
-            estimates: vec![0.0; width],
-            truth: 0.0,
-            sampled_items: 0,
-        }
-    }
-
+impl JobRun<'_> {
     /// Flushes the staged chunk: one bulk seed hash
     /// ([`SeedHasher::seed_many`] — skipped on the fixed-seed path), then
     /// ONE [`evaluate_many`](EstimationKernel::evaluate_many) call, so
@@ -823,26 +768,48 @@ impl<'k> JobRun<'k> {
         self.bufs.len = 0;
         Ok(())
     }
-
-    fn finish(mut self) -> Result<PairResult> {
-        self.flush()?;
-        Ok(PairResult {
-            estimates: self.estimates,
-            truth: self.truth,
-            sampled_items: self.sampled_items,
-        })
-    }
 }
 
-/// Rejects jobs whose group arity differs from the kernel's requirement
-/// (streaming a truncated weight tuple would silently misestimate).
-fn check_arity(kernel: &dyn EstimationKernel, got: usize) -> Result<()> {
-    match kernel.arity() {
-        Some(expected) if expected != got => {
-            Err(monotone_core::Error::ArityMismatch { expected, got })
-        }
-        _ => Ok(()),
+/// The one per-job prologue and epilogue every job shape runs: reject a
+/// group whose arity differs from the kernel's requirement (streaming a
+/// truncated weight tuple would silently misestimate), stage a fresh
+/// [`JobRun`], let `stream` drain the job's items into it, and flush the
+/// last chunk.
+fn run_job<'k>(
+    kernel: &'k dyn EstimationKernel,
+    width: usize,
+    arity: usize,
+    salt: u64,
+    seed: Option<f64>,
+    stream: impl FnOnce(&mut JobRun<'k>) -> Result<()>,
+) -> Result<PairResult> {
+    if let Some(expected) = kernel.arity().filter(|&expected| expected != arity) {
+        let got = arity;
+        return Err(monotone_core::Error::ArityMismatch { expected, got });
     }
+    let mut bufs = ChunkBufs::new(arity);
+    if let Some(u) = seed {
+        // Fixed-seed jobs (probe curves) never hash: the seed buffer is
+        // filled once here and reused by every chunk.
+        bufs.seeds.fill(u);
+    }
+    let mut run = JobRun {
+        kernel,
+        seeder: SeedHasher::new(salt),
+        fixed_seed: seed.is_some(),
+        bufs,
+        scratch: KernelScratch::new(),
+        estimates: vec![0.0; width],
+        truth: 0.0,
+        sampled_items: 0,
+    };
+    stream(&mut run)?;
+    run.flush()?;
+    Ok(PairResult {
+        estimates: run.estimates,
+        truth: run.truth,
+        sampled_items: run.sampled_items,
+    })
 }
 
 /// Rejects negative or non-finite item weights as typed errors.
@@ -873,20 +840,15 @@ fn check_weight(key: u64, w: f64) -> Result<()> {
 /// Generic (monomorphized per concrete source) so the exact full-map
 /// merge stays as statically dispatched as the hand-rolled loops it
 /// replaced.
-fn stream_into_run<S: ItemSource + ?Sized>(
-    run: &mut JobRun<'_>,
-    source: &mut S,
-    ws: &mut [f64],
-) -> Result<()> {
-    while let Some(key) = source.next_into(ws) {
-        for &w in ws.iter() {
-            check_weight(key, w)?;
-        }
+fn stream_into_run<S: ItemSource + ?Sized>(run: &mut JobRun<'_>, source: &mut S) -> Result<()> {
+    let mut ws = vec![0.0; source.arity()];
+    while let Some(key) = source.next_into(&mut ws) {
+        ws.iter().try_for_each(|&w| check_weight(key, w))?;
         if ws.iter().all(|&w| w <= 0.0) {
             continue;
         }
-        run.truth += run.kernel.truth(ws);
-        run.bufs.push(key, ws);
+        run.truth += run.kernel.truth(&ws);
+        run.bufs.push(key, &ws);
         if run.bufs.is_full() {
             run.flush()?;
         }
@@ -920,73 +882,26 @@ fn stream_pairs_into_run(
     Ok(())
 }
 
-/// Executes one pair job against a kernel: the merged pair stream
-/// ([`merged_weights`]) through [`stream_pairs_into_run`], or a
-/// [`DomainSource`] through the generic loop when the job restricts the
-/// domain.
-fn run_pair_job(
+/// Executes one instance-group job (a [`PairJob`] or a [`GroupJob`]):
+/// the group's merged item union through [`stream_pairs_into_run`] over
+/// [`merged_weights`] at arity 2 (the register-resident hot path) or
+/// [`WeightMerger`] at any other arity, or a [`DomainSource`] through
+/// [`stream_into_run`] when the job restricts the domain.
+fn run_instances(
     kernel: &dyn EstimationKernel,
     width: usize,
-    job: &PairJob<'_>,
+    group: &[&Instance],
+    salt: u64,
+    seed: Option<f64>,
+    domain: Option<&[u64]>,
 ) -> Result<PairResult> {
-    check_arity(kernel, 2)?;
-    let mut run = JobRun::new(kernel, width, 2, job.salt, job.seed);
-    let mut ws = [0.0; 2];
-    match job.domain {
-        None => stream_pairs_into_run(&mut run, merged_weights(job.a, job.b))?,
-        Some(domain) => stream_into_run(
-            &mut run,
-            &mut DomainSource::new(domain, vec![job.a, job.b]),
-            &mut ws,
-        )?,
-    }
-    run.finish()
-}
-
-/// Executes one arity-N group job against a kernel: the N-way merged
-/// item union streamed through the same protocol as every other source:
-/// [`merged_weights`] + [`stream_pairs_into_run`] at arity 2 (the
-/// register-resident hot path), [`WeightMerger`] at arity N, and
-/// [`DomainSource`] when the job restricts the domain.
-fn run_group_job(
-    kernel: &dyn EstimationKernel,
-    width: usize,
-    job: &GroupJob<'_>,
-) -> Result<PairResult> {
-    let arity = job.instances.len();
-    check_arity(kernel, arity)?;
-    let mut run = JobRun::new(kernel, width, arity, job.salt, job.seed);
-    let mut ws = vec![0.0; arity];
-    match job.domain {
-        // Arity-2 groups take the register-resident pair stream:
-        // identical item union, hot-path speed.
-        None => match job.instances {
-            [a, b] => stream_pairs_into_run(&mut run, merged_weights(a, b))?,
-            _ => stream_into_run(&mut run, &mut WeightMerger::new(job.instances), &mut ws)?,
-        },
-        Some(domain) => stream_into_run(
-            &mut run,
-            &mut DomainSource::new(domain, job.instances.iter().collect()),
-            &mut ws,
-        )?,
-    }
-    run.finish()
-}
-
-/// Executes one explicit-source job: clone the un-advanced cursor and
-/// stream it.
-fn run_source_job<S: ItemSource + Clone>(
-    kernel: &dyn EstimationKernel,
-    width: usize,
-    job: &SourceJob<S>,
-) -> Result<PairResult> {
-    let mut source = job.source.clone();
-    let arity = source.arity();
-    check_arity(kernel, arity)?;
-    let mut run = JobRun::new(kernel, width, arity, job.salt, job.seed);
-    let mut ws = vec![0.0; arity];
-    stream_into_run(&mut run, &mut source, &mut ws)?;
-    run.finish()
+    run_job(kernel, width, group.len(), salt, seed, |run| {
+        match (domain, group) {
+            (Some(keys), _) => stream_into_run(run, &mut DomainSource::new(keys, group.to_vec())),
+            (None, &[a, b]) => stream_pairs_into_run(run, merged_weights(a, b)),
+            (None, _) => stream_into_run(run, &mut WeightMerger::new(group.iter().copied())),
+        }
+    })
 }
 
 fn summarize(labels: Vec<String>, pairs: Vec<PairResult>) -> BatchResult {

@@ -107,7 +107,7 @@ pub fn planted_partner(id: u64, period: u64) -> Option<u64> {
 /// instance `i − 1`: the first 90% of the partner's window plus `n/10`
 /// fresh far-away keys, a pair of support Jaccard
 /// `(n − m)/(n + m) ≈ 0.85` (`m = n/10`). Weights are key-pure
-/// ([`planted_weight`]'s lattice) so shared items sample identically
+/// (`planted_weight`'s lattice) so shared items sample identically
 /// under any common salt.
 ///
 /// Everything is a pure function of `(i, items_per_instance, period)`:

@@ -9,7 +9,9 @@ use monotone_coord::seed::SeedHasher;
 use monotone_core::estimate::{DyadicJ, HorvitzThompson, LStar, RgPlusLStar, RgPlusUStar};
 use monotone_core::func::{DistinctOr, RangePowPlus};
 use monotone_core::quad::QuadConfig;
-use monotone_engine::{Engine, EngineQuery, EstimatorKind, GroupJob, PairJob};
+use monotone_engine::{
+    DomainSource, Engine, EngineQuery, EstimatorKind, GroupJob, PairJob, SourceJob,
+};
 
 fn instance_pair(n: u64) -> (Instance, Instance) {
     let a = Instance::from_pairs((0..n).map(|k| (k, 0.1 + 0.8 * ((k * 13 % 101) as f64 / 101.0))));
@@ -222,7 +224,7 @@ fn engine_empty_batch_is_defined() {
     // undefined — empty batches return empty summaries instead.
     let query = EngineQuery::rg_plus(1.0, 1.0)
         .with_estimators(&[EstimatorKind::LStar, EstimatorKind::UStar]);
-    let batch = Engine::with_threads(4).run(&[], &query).unwrap();
+    let batch = Engine::with_threads(4).run::<PairJob>(&[], &query).unwrap();
     assert!(batch.pairs.is_empty());
     assert!(
         batch.summaries.is_empty(),
@@ -232,7 +234,7 @@ fn engine_empty_batch_is_defined() {
     assert_eq!(batch.total_sampled_items, 0);
     // Same contract on the group path and for custom-width kernels.
     let batch = Engine::with_threads(4)
-        .run_groups(&[], &EngineQuery::distinct_k(3, 1.0))
+        .run::<GroupJob>(&[], &EngineQuery::distinct_k(3, 1.0))
         .unwrap();
     assert!(batch.pairs.is_empty() && batch.summaries.is_empty());
 }
@@ -264,7 +266,7 @@ fn arity2_group_jobs_reproduce_pair_jobs_bitwise() {
     for threads in [1, 3] {
         let engine = Engine::with_threads(threads);
         let pair_batch = engine.run(&pair_jobs, &query).unwrap();
-        let group_batch = engine.run_groups(&group_jobs, &query).unwrap();
+        let group_batch = engine.run(&group_jobs, &query).unwrap();
         assert_eq!(pair_batch, group_batch, "threads={threads}");
     }
 }
@@ -286,9 +288,9 @@ fn three_way_distinct_matches_per_call_path() {
         .map(|salt| GroupJob::new(data.instances(), salt))
         .collect();
     let query = EngineQuery::distinct_k(3, scale).with_quad(quad);
-    let closed = Engine::with_threads(2).run_groups(&jobs, &query).unwrap();
+    let closed = Engine::with_threads(2).run(&jobs, &query).unwrap();
     let generic = Engine::with_threads(2)
-        .run_groups(&jobs, &query.clone().without_closed_forms())
+        .run(&jobs, &query.clone().without_closed_forms())
         .unwrap();
     assert_eq!(closed.pairs[0].truth, data.union_keys().len() as f64);
     for (salt, (cp, gp)) in closed.pairs.iter().zip(&generic.pairs).enumerate() {
@@ -330,7 +332,7 @@ fn group_fixed_seed_jobs_sample_every_item_at_that_seed() {
     for &u in &[0.05, 0.35, 0.75, 1.0] {
         let jobs = [GroupJob::new(&group, 9).with_seed(u)];
         let query = EngineQuery::distinct_k(3, scale);
-        let batch = Engine::with_threads(2).run_groups(&jobs, &query).unwrap();
+        let batch = Engine::with_threads(2).run(&jobs, &query).unwrap();
         let mut tuple = vec![0.0; data.arity()];
         let expect: f64 = data
             .union_keys()
@@ -361,7 +363,7 @@ fn group_arity_must_match_query_arity() {
     let group = [a, b];
     let jobs = [GroupJob::new(&group, 0)];
     let err = Engine::with_threads(1)
-        .run_groups(&jobs, &EngineQuery::distinct_k(3, 1.0))
+        .run(&jobs, &EngineQuery::distinct_k(3, 1.0))
         .unwrap_err();
     assert!(
         format!("{err}").contains("arity"),
@@ -373,6 +375,16 @@ fn group_arity_must_match_query_arity() {
     assert!(Engine::with_threads(1)
         .run(&jobs, &EngineQuery::distinct_k(3, 1.0))
         .is_err());
+    // And on the source path: a 2-instance source under a 3-way query.
+    let keys: Vec<u64> = (0..20).collect();
+    let jobs = [SourceJob::new(DomainSource::new(&keys, vec![&a, &b]), 0)];
+    let err = Engine::with_threads(1)
+        .run(&jobs, &EngineQuery::distinct_k(3, 1.0))
+        .unwrap_err();
+    assert!(
+        format!("{err}").contains("arity"),
+        "expected an arity error, got {err}"
+    );
 }
 
 #[test]
@@ -395,7 +407,7 @@ fn negative_raw_weights_are_typed_errors_not_misestimates() {
     // whenever the partner entry was positive — a silent misestimate for
     // raw-ingested (unvalidated) instances. Every route (pair + group,
     // merged union + explicit domain) must instead report the item as a
-    // typed InvalidWeight error.
+    // typed InvalidWeight error; so must a source job.
     let mut poisoned = Instance::from_pairs([(0u64, 0.6), (2, 0.4)]);
     poisoned.set_raw(1, -0.3); // raw ingest: negative weight stored verbatim
     let clean = Instance::from_pairs([(0u64, 0.5), (1, 0.9), (2, 0.2)]);
@@ -420,9 +432,14 @@ fn negative_raw_weights_are_typed_errors_not_misestimates() {
     let group = [poisoned.clone(), clean.clone(), clean.clone()];
     let gquery = EngineQuery::distinct_k(3, 1.0);
     let jobs = [GroupJob::new(&group, 7).with_domain(&domain)];
-    assert_eq!(engine.run_groups(&jobs, &gquery).unwrap_err(), expected);
+    assert_eq!(engine.run(&jobs, &gquery).unwrap_err(), expected);
     let jobs = [GroupJob::new(&group, 7)];
-    assert_eq!(engine.run_groups(&jobs, &gquery).unwrap_err(), expected);
+    assert_eq!(engine.run(&jobs, &gquery).unwrap_err(), expected);
+
+    // Source path: the same explicit domain as an ItemSource.
+    let source = DomainSource::new(&domain, vec![&poisoned, &clean]);
+    let jobs = [SourceJob::new(source, 7)];
+    assert_eq!(engine.run(&jobs, &query).unwrap_err(), expected);
 
     // Non-finite raw weights are rejected the same way.
     let mut nan_inst = Instance::from_pairs([(0u64, 0.6)]);

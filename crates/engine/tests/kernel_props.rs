@@ -96,7 +96,7 @@ proptest! {
             for threads in [1, 3] {
                 let engine = Engine::with_threads(threads);
                 let from_pair = engine.run(&[pair_job], &query).unwrap();
-                let from_group = engine.run_groups(&[group_job], &query).unwrap();
+                let from_group = engine.run(&[group_job], &query).unwrap();
                 prop_assert_eq!(
                     &from_pair, &from_group,
                     "pair and group batches diverged (threads={})", threads

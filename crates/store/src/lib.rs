@@ -38,13 +38,12 @@
 //!
 //! Because coordinated bottom-k sketches are mergeable by construction,
 //! a backend never needs another backend's state — which is what lets
-//! [`LocalShard`] (an in-process mutex'd map) and
-//! [`ProcessShard`](remote::ProcessShard) (the same shard code in a
-//! spawned worker process, behind a framed pipe protocol) implement one
-//! trait and produce **bit-identical** stores. Resident state and every
-//! query answer depend only on what was ingested, never on the shard
-//! count, worker count, or process count — the geometry-invariance
-//! contract the CI determinism matrix enforces.
+//! [`LocalShard`] (an in-process mutex'd map) and [`ProcessShard`] (the
+//! same shard code in a spawned worker process, behind a framed pipe
+//! protocol) implement one trait and produce **bit-identical** stores.
+//! Resident state and every query answer depend only on what was
+//! ingested, never on the shard count, worker count, or process count —
+//! the geometry-invariance contract the CI determinism matrix enforces.
 //!
 //! Memory is `O(k)` per instance regardless of instance size, queries
 //! touch only the union of `N·(k+1)` retained entries, and because all
@@ -302,13 +301,18 @@ impl SketchStore {
         Ok(self.len()? == 0)
     }
 
-    /// The backend owning `instance` — a splitmix of the id, so
-    /// sequentially numbered instances spread across shards instead of
-    /// striding through them in lockstep. Pure in the id and the shard
-    /// count: the routing the whole determinism story hangs off.
+    /// The index of the backend owning `instance` — a splitmix of the
+    /// id, so sequentially numbered instances spread across shards
+    /// instead of striding through them in lockstep. Pure in the id and
+    /// the shard count: the routing the whole determinism story hangs
+    /// off, and the only place it is computed.
+    fn shard_of(&self, instance: u64) -> usize {
+        (monotone_coord::seed::splitmix64(instance) % self.backends.len() as u64) as usize
+    }
+
+    /// The backend owning `instance` ([`SketchStore::shard_of`]).
     fn backend_of(&self, instance: u64) -> &Arc<dyn ShardBackend> {
-        let ix = monotone_coord::seed::splitmix64(instance) % self.backends.len() as u64;
-        &self.backends[ix as usize]
+        &self.backends[self.shard_of(instance)]
     }
 
     /// Feeds one `(key, weight)` observation to `instance`'s sketch,
@@ -381,8 +385,7 @@ impl SketchStore {
     fn fetch_sketches(&self, ids: &[u64]) -> Result<HashMap<u64, BottomKSample>> {
         let mut per_backend: Vec<Vec<u64>> = vec![Vec::new(); self.backends.len()];
         for &id in ids {
-            let ix = monotone_coord::seed::splitmix64(id) % self.backends.len() as u64;
-            per_backend[ix as usize].push(id);
+            per_backend[self.shard_of(id)].push(id);
         }
         let mut out = HashMap::with_capacity(ids.len());
         for (backend, shard_ids) in self.backends.iter().zip(&per_backend) {
@@ -421,7 +424,7 @@ impl SketchStore {
             .to_vec();
         let compiled = query.clone().with_instance_scales(&scales);
         let job = SourceJob::new(union, self.salt());
-        let batch = engine.run_sources(&[job], &compiled)?;
+        let batch = engine.run(&[job], &compiled)?;
         let pair = batch.pairs.into_iter().next().expect("one job in, one out");
         Ok(GroupEstimate {
             estimates: pair.estimates,

@@ -1,6 +1,6 @@
 //! The child-process [`ShardBackend`]: the same shard code as
 //! [`LocalShard`], running in a spawned `shard_worker` process behind
-//! the framed pipe protocol of [`crate::proto`].
+//! the framed pipe protocol of the crate's `proto` module.
 //!
 //! A [`ProcessShard`] owns one worker child. Requests are serialized
 //! over the child's stdin, responses read from its stdout, one
@@ -78,7 +78,7 @@ enum ConnState {
 /// [`LocalShard`]'s mutex.
 ///
 /// Dropping the shard shuts the worker down (a best-effort
-/// [`OP_SHUTDOWN`] exchange, then kill-and-reap), so no zombies outlive
+/// `OP_SHUTDOWN` exchange, then kill-and-reap), so no zombies outlive
 /// the store.
 #[derive(Debug)]
 pub struct ProcessShard {
@@ -342,12 +342,12 @@ fn take_signature(dec: &mut Dec<'_>) -> Result<Vec<(u32, u64)>> {
 
 /// Serves the shard protocol over an arbitrary byte stream: the worker
 /// half of [`ProcessShard`]. Blocks until the peer closes the stream
-/// (clean EOF returns `Ok`), an [`OP_SHUTDOWN`] arrives, or I/O fails.
+/// (clean EOF returns `Ok`), an `OP_SHUTDOWN` arrives, or I/O fails.
 ///
 /// The first frame must be the hello handshake; it configures the
-/// [`LocalShard`](crate::shard::LocalShard) all later operations run
-/// against. Malformed *requests* are answered with error frames and the
-/// loop continues — only transport failure ends the session.
+/// [`LocalShard`] all later operations run against. Malformed *requests*
+/// are answered with error frames and the loop continues — only
+/// transport failure ends the session.
 ///
 /// # Errors
 ///

@@ -2,10 +2,10 @@
 //! store trustworthy.
 //!
 //! 1. **Lossless sketches are a pure re-route**: with k at least the
-//!    union size nothing is evicted, so a [`SketchUnion`] streamed
-//!    through [`Engine::run_sources`] must reproduce the exact
-//!    [`Engine::run_groups`] batch bit for bit — same estimates, same
-//!    truth, same sampled counts (pinned-seed proptest).
+//!    union size nothing is evicted, so a [`SketchUnion`] streamed as a
+//!    [`SourceJob`] through [`Engine::run`] must reproduce the exact
+//!    [`GroupJob`] batch bit for bit — same estimates, same truth, same
+//!    sampled counts (pinned-seed proptest).
 //! 2. **Lossy sketches converge**: on the E8-family RG1+ workload
 //!    ([`workload::rg1_instance_pool`]), the store's inverse-probability
 //!    corrected estimates approach the exact aggregate as k grows.
@@ -39,7 +39,7 @@ proptest! {
     /// across weights, salts, scales, probe seeds, arities 2 and 3,
     /// RG1+ and distinct families, and worker counts.
     #[test]
-    fn full_k_sketch_union_is_bit_identical_to_run_groups(
+    fn full_k_sketch_union_is_bit_identical_to_group_jobs(
         a in instance_strategy(),
         b in instance_strategy(),
         c in instance_strategy(),
@@ -74,8 +74,8 @@ proptest! {
             }
             for threads in [1, 3] {
                 let engine = Engine::with_threads(threads);
-                let exact = engine.run_groups(&[group_job], &query).unwrap();
-                let sketched = engine.run_sources(&[source_job.clone()], &query).unwrap();
+                let exact = engine.run(&[group_job], &query).unwrap();
+                let sketched = engine.run(&[source_job.clone()], &query).unwrap();
                 prop_assert_eq!(
                     &exact, &sketched,
                     "sketch union diverged from the exact group path (threads={})",
@@ -114,7 +114,7 @@ fn rg1_error_shrinks_as_k_grows() {
                 // Exact truth over the pair's union, from the exact path.
                 let group = [pa.clone(), pb.clone()];
                 let exact = engine
-                    .run_groups(&[GroupJob::new(&group, r)], &query)
+                    .run(&[GroupJob::new(&group, r)], &query)
                     .unwrap()
                     .pairs[0]
                     .truth;
