@@ -285,15 +285,16 @@ impl BottomKSample {
             let rank = dec.take_f64()?;
             let key = dec.take_u64()?;
             let weight = dec.take_f64()?;
-            if let Some(&(pr, pk, _)) = entries.last() {
-                let ord = rank.total_cmp(&pr).then(key.cmp(&pk));
-                if ord != std::cmp::Ordering::Greater {
-                    return Err(monotone_core::Error::Encoding(
-                        "sample entries out of (rank, key) order".to_owned(),
-                    ));
-                }
+            let entry = (rank, key, weight);
+            if entries
+                .last()
+                .is_some_and(|last| !by_rank_key(last, &entry).is_lt())
+            {
+                return Err(monotone_core::Error::Encoding(
+                    "sample entries out of (rank, key) order".to_owned(),
+                ));
             }
-            entries.push((rank, key, weight));
+            entries.push(entry);
         }
         Ok(BottomKSample {
             k,
@@ -304,43 +305,24 @@ impl BottomKSample {
     }
 }
 
-/// One retained candidate of a [`BottomKStream`], ordered by
-/// `(rank, key)` so rank ties break exactly like the stable sort over
-/// key-ascending input the batch sampler used to run.
-#[derive(Debug, Clone, Copy)]
-struct RankedEntry {
-    rank: f64,
-    key: u64,
-    weight: f64,
-}
-
-impl PartialEq for RankedEntry {
-    fn eq(&self, other: &RankedEntry) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for RankedEntry {}
-
-impl PartialOrd for RankedEntry {
-    fn partial_cmp(&self, other: &RankedEntry) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for RankedEntry {
-    fn cmp(&self, other: &RankedEntry) -> std::cmp::Ordering {
-        self.rank
-            .total_cmp(&other.rank)
-            .then(self.key.cmp(&other.key))
-    }
+/// The `(rank, key)` order of sample entries: rank ties break by key,
+/// exactly like the stable sort over key-ascending input the batch
+/// sampler used to run.
+fn by_rank_key(a: &(f64, u64, f64), b: &(f64, u64, f64)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 /// The online insert/evict path of bottom-k sampling: a resident sampler
 /// that consumes one `(key, weight)` observation at a time and maintains
 /// the `k` smallest finite ranks plus the `(k+1)`-th (the conditioned
-/// threshold of every retained item) in a bounded max-heap — `O(log k)`
-/// per insert, `O(k)` memory, no access to the full instance ever.
+/// threshold of every retained item) in one array of at most `k + 1`
+/// entries — `O(k)` memory, no access to the full instance ever.
+///
+/// The array holds arrival order until it first fills to `k + 1`, is
+/// sorted by `(rank, key)` once, and stays sorted from then on: a warm
+/// rejection is one comparison with the last entry, an accepted insert
+/// shifts the larger entries up one slot over the evicted last one, and
+/// a [`sample`](BottomKStream::sample) is a copy of the first `k`.
 ///
 /// [`BottomK::sample_instance`] is this stream fed from an [`Instance`]:
 /// the two paths are bit-identical by construction (regression-tested),
@@ -373,8 +355,10 @@ pub struct BottomKStream {
     k: usize,
     method: RankMethod,
     seeder: SeedHasher,
-    /// Max-heap of the `k + 1` smallest finite `(rank, key)` entries.
-    heap: std::collections::BinaryHeap<RankedEntry>,
+    /// The `k + 1` smallest finite `(rank, key, weight)` entries seen:
+    /// in arrival order while there are at most `k`, in `(rank, key)`
+    /// order once there are `k + 1`.
+    entries: Vec<(f64, u64, f64)>,
 }
 
 impl BottomKStream {
@@ -382,10 +366,10 @@ impl BottomKStream {
     /// among the `k + 1` smallest finite ranks, evict the largest
     /// otherwise. Inactive observations (`w <= 0`, non-finite `w`) and
     /// infinite ranks (exponential ranks at a hash seed of exactly `1.0`)
-    /// never enter the heap.
+    /// are never retained.
     ///
     /// Returns whether the retained state changed — `true` exactly when
-    /// the observation entered the heap (so a subsequent
+    /// the observation was retained (so a subsequent
     /// [`sample`](BottomKStream::sample) snapshot differs from the one
     /// before the insert), `false` when it was rejected. In a warm
     /// stream almost every observation ranks above the resident
@@ -400,31 +384,36 @@ impl BottomKStream {
         if !rank.is_finite() {
             return false;
         }
-        let entry = RankedEntry {
-            rank,
-            key,
-            weight: w,
-        };
-        if self.heap.len() <= self.k {
-            self.heap.push(entry);
-            true
-        } else if entry < *self.heap.peek().expect("non-empty heap") {
-            self.heap.pop();
-            self.heap.push(entry);
-            true
+        let entry = (rank, key, w);
+        if self.entries.len() <= self.k {
+            self.entries.push(entry);
+            if self.entries.len() > self.k {
+                self.entries.sort_unstable_by(by_rank_key);
+            }
+        } else if by_rank_key(&entry, &self.entries[self.k]).is_lt() {
+            // Evict the (k+1)-th: shift each larger entry up one slot,
+            // walking from the end (measured faster than a binary search
+            // plus `Vec::insert` at sketch sizes).
+            let mut at = self.k;
+            while at > 0 && by_rank_key(&entry, &self.entries[at - 1]).is_lt() {
+                self.entries[at] = self.entries[at - 1];
+                at -= 1;
+            }
+            self.entries[at] = entry;
         } else {
-            false
+            return false;
         }
+        true
     }
 
     /// Number of ranked entries currently resident (at most `k + 1`).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len()
     }
 
     /// True before any active observation arrived.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.entries.is_empty()
     }
 
     /// Snapshots the current sample without consuming the stream (live
@@ -435,23 +424,18 @@ impl BottomKStream {
 
     /// Finalizes the stream into its sample: the `k` smallest ranks
     /// ascending, plus the `(k+1)`-th as the retained-item threshold when
-    /// the heap saw more than `k` finite ranks.
-    pub fn into_sample(self) -> BottomKSample {
-        let mut entries: Vec<(f64, u64, f64)> = self
-            .heap
-            .into_iter()
-            .map(|e| (e.rank, e.key, e.weight))
-            .collect();
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let next_rank = if entries.len() > self.k {
-            entries.pop().map(|(r, _, _)| r)
+    /// the stream saw more than `k` finite ranks.
+    pub fn into_sample(mut self) -> BottomKSample {
+        let next_rank = if self.entries.len() > self.k {
+            self.entries.pop().map(|(r, _, _)| r)
         } else {
+            self.entries.sort_unstable_by(by_rank_key);
             None
         };
         BottomKSample {
             k: self.k,
             method: self.method,
-            entries,
+            entries: self.entries,
             next_rank,
         }
     }
@@ -512,7 +496,7 @@ impl BottomK {
             k: self.k,
             method: self.method,
             seeder: self.seeder,
-            heap: std::collections::BinaryHeap::with_capacity(self.k + 2),
+            entries: Vec::with_capacity(self.k + 1),
         }
     }
 
@@ -921,20 +905,49 @@ mod tests {
             RankMethod::Exponential,
             RankMethod::Uniform,
         ] {
-            for (n, k) in [(0u64, 3), (3, 8), (50, 7), (200, 20), (64, 64), (65, 64)] {
+            // Streams that never fill (n <= k), that fill exactly at the
+            // last item (n = k + 1), and that run warm long after.
+            for (n, k) in [
+                (0u64, 3),
+                (3, 8),
+                (7, 7),
+                (8, 7),
+                (50, 7),
+                (200, 20),
+                (64, 64),
+                (65, 64),
+                (1, 1),
+                (40, 1),
+            ] {
                 let inst = test_instance(n);
                 let sampler = BottomK::new(k, method, SeedHasher::new(n + k as u64));
                 let streamed = sampler.sample_instance(&inst);
                 let sorted = sort_based_sample(&sampler, &inst);
                 assert_eq!(streamed, sorted, "method {method:?} n={n} k={k}");
-                // Insertion order must not matter: reverse the stream.
-                let mut rev = sampler.stream();
+                // Every prefix, in arrival order and reversed: the live
+                // snapshot equals the batch sample of what arrived so far
+                // and the finalized stream, before and after the first
+                // fill sorts the entries.
                 let mut items: Vec<(u64, f64)> = inst.iter().collect();
-                items.reverse();
-                for (key, w) in items {
-                    rev.insert(key, w);
+                for reversed in [false, true] {
+                    if reversed {
+                        items.reverse();
+                    }
+                    let mut stream = sampler.stream();
+                    for (i, &(key, w)) in items.iter().enumerate() {
+                        stream.insert(key, w);
+                        let prefix = Instance::from_pairs(items[..=i].iter().copied());
+                        let snapshot = stream.sample();
+                        let at = format!("{method:?} n={n} k={k} prefix={} rev={reversed}", i + 1);
+                        assert_eq!(snapshot, sort_based_sample(&sampler, &prefix), "{at}");
+                        assert_eq!(snapshot, stream.clone().into_sample(), "{at}");
+                    }
+                    assert_eq!(
+                        stream.into_sample(),
+                        sorted,
+                        "rev={reversed} {method:?} n={n} k={k}"
+                    );
                 }
-                assert_eq!(rev.into_sample(), sorted, "reversed {method:?} n={n} k={k}");
             }
         }
     }
@@ -960,7 +973,7 @@ mod tests {
     #[test]
     fn insert_reports_exactly_the_retained_state_changes() {
         // The live-index maintenance contract: insert returns true iff
-        // the heap content changed, i.e. iff sample() snapshots taken
+        // the retained entries changed, i.e. iff sample() snapshots taken
         // before and after the insert differ.
         let sampler = BottomK::new(3, RankMethod::Priority, SeedHasher::new(11));
         let mut stream = sampler.stream();
@@ -1116,6 +1129,44 @@ mod tests {
             BottomKSample::decode(&mut Dec::new(&huge.into_bytes())),
             Err(monotone_core::Error::Encoding(_))
         ));
+    }
+
+    /// Corruption sweep: every truncation and every single-bit flip of a
+    /// pinned k = 32 sample that carries a next rank decodes to `Ok` or
+    /// to a typed `Encoding` error, never a panic, and every sample that
+    /// does decode keeps its entries strictly ascending by `(rank, key)`.
+    #[test]
+    fn decode_survives_every_truncation_and_bit_flip() {
+        let inst = Instance::from_pairs((0..120u64).map(|k| (k * 7 + 3, 0.5 + (k % 9) as f64)));
+        let s = BottomK::new(32, RankMethod::Priority, SeedHasher::new(0x5eed_0016))
+            .sample_instance(&inst);
+        assert_eq!(s.len(), 32);
+        assert!(s.next_rank().is_some());
+        let mut enc = Enc::new();
+        s.encode_into(&mut enc);
+        let good = enc.into_bytes();
+        let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
+        let flips = (0..good.len() * 8).map(|bit| {
+            let mut bad = good.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            bad
+        });
+        let (mut ok, mut refused) = (0, 0);
+        for bad in cuts.chain(flips) {
+            match BottomKSample::decode(&mut Dec::new(&bad)) {
+                Ok(back) => {
+                    ok += 1;
+                    assert!(back
+                        .entries
+                        .windows(2)
+                        .all(|w| by_rank_key(&w[0], &w[1]).is_lt()));
+                }
+                Err(monotone_core::Error::Encoding(_)) => refused += 1,
+                Err(other) => panic!("decode failed with a non-encoding error: {other:?}"),
+            }
+        }
+        // Flipped weight bits decode; truncations and version flips do not.
+        assert!(ok > 0 && refused > good.len());
     }
 
     #[test]

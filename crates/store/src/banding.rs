@@ -48,13 +48,16 @@
 //! those signatures in an id-ordered map; its bucket table — per band,
 //! a hash map from band hash to the ids registered under it, where a
 //! bucket of one id (most of them, in a large index) holds it inline —
-//! is derived from the signatures and built **once per index**, in one
-//! pass sized from them: by [`BandIndex::merged`], or by the first
-//! probe of an index built with [`BandIndex::insert`] or
-//! [`BandIndex::decode`]. A per-shard partial that is only shipped and
-//! merged carries signatures and never builds a table. Once built, the
-//! table is kept current by `insert` and [`BandIndex::remove`] in
-//! `O(bands)` expected time per call.
+//! is derived from the signatures and built **once per index**: by
+//! [`BandIndex::merged`], or by the first probe of an index built with
+//! [`BandIndex::insert`] or [`BandIndex::decode`]. The build goes one
+//! band at a time. It splits the registrations into one list per band,
+//! in id order, then fills each band's map from its list, sized by the
+//! list's length, so only one band's map is written at any moment. A
+//! per-shard partial that is only shipped and merged carries
+//! signatures and never builds a table. Once built, the table is kept
+//! current by `insert` and [`BandIndex::remove`] in `O(bands)` expected
+//! time per call.
 //!
 //! Pair extraction is `Σ |bucket|²` over buckets — the LSH contract is
 //! that buckets stay small because dissimilar instances rarely share a
@@ -328,33 +331,38 @@ impl Bucket {
 }
 
 /// The bucket table of `signatures` under a `bands`-band config, built
-/// in one pass with each band's map sized by the signatures registering
-/// under that band.
+/// one band at a time: the registrations are first split into one
+/// `(hash, id)` list per band, in id order, and each band's map is then
+/// filled from its list and sized by its length, so only one map is
+/// written at a time and every bucket lists its ids in ascending order.
 fn build_table(bands: usize, signatures: &BTreeMap<u64, Box<[(u32, u64)]>>) -> Table {
-    let mut per_band = vec![0usize; bands];
-    for sig in signatures.values() {
-        for &(band, _) in sig.iter() {
-            per_band[band as usize] += 1;
-        }
-    }
-    let mut table: Table = per_band.into_iter().map(HashMap::with_capacity).collect();
+    let mut per_band = vec![Vec::new(); bands];
     for (&id, sig) in signatures {
         for &(band, hash) in sig.iter() {
-            register(&mut table, band, hash, id);
+            per_band[band as usize].push((hash, id));
         }
     }
-    table
+    let fill = |list: Vec<(u64, u64)>| {
+        let mut buckets = HashMap::with_capacity(list.len());
+        for (hash, id) in list {
+            register(&mut buckets, hash, id);
+        }
+        buckets
+    };
+    per_band.into_iter().map(fill).collect()
 }
 
-fn register(table: &mut Table, band: u32, hash: u64, id: u64) {
-    table[band as usize]
+/// Adds `id` to the bucket of `hash` in one band's map.
+fn register(buckets: &mut HashMap<u64, Bucket>, hash: u64, id: u64) {
+    buckets
         .entry(hash)
         .and_modify(|bucket| bucket.push(id))
         .or_insert(Bucket::One(id));
 }
 
-fn unregister(table: &mut Table, band: u32, hash: u64, id: u64) {
-    let buckets = &mut table[band as usize];
+/// Removes `id` from the bucket of `hash` in one band's map, dropping
+/// the bucket once it is empty.
+fn unregister(buckets: &mut HashMap<u64, Bucket>, hash: u64, id: u64) {
     let bucket = buckets
         .get_mut(&hash)
         .expect("registered signature hash has a bucket");
@@ -437,10 +445,10 @@ impl BandIndex {
             // Both signatures hold at most `bands` pairs: unregister the
             // stale ones, register the fresh ones, leave the shared ones.
             for &(band, hash) in old.iter().filter(|pair| !sig.contains(pair)) {
-                unregister(table, band, hash, id);
+                unregister(&mut table[band as usize], hash, id);
             }
             for &(band, hash) in sig.iter().filter(|pair| !old.contains(pair)) {
-                register(table, band, hash, id);
+                register(&mut table[band as usize], hash, id);
             }
         }
     }
@@ -452,7 +460,7 @@ impl BandIndex {
         };
         if let Some(table) = self.table.get_mut() {
             for &(band, hash) in sig.iter() {
-                unregister(table, band, hash, id);
+                unregister(&mut table[band as usize], hash, id);
             }
         }
         true
@@ -461,7 +469,7 @@ impl BandIndex {
     /// Merges per-worker partial indexes (the parallel blocked build)
     /// into one, in order. The parts' signatures move into one map as
     /// they are — parts carry signatures, not tables — and the merged
-    /// bucket table is then built once, in one pass. The result is
+    /// bucket table is then built once, one band at a time. The result is
     /// interchangeable with inserting every instance into a single
     /// index: signatures are the union, and all sorted query outputs are
     /// bit-identical.
@@ -1093,6 +1101,41 @@ mod tests {
                 "truncation at {cut} slipped through"
             );
         }
+    }
+
+    /// Corruption sweep: every truncation and every single-bit flip of a
+    /// pinned 16×2 index of a few ids decodes to `Ok` or to a typed
+    /// `Encoding` error, never a panic — and an index that does decode
+    /// builds its bucket table and extracts pairs without panicking.
+    #[test]
+    fn decode_survives_every_truncation_and_bit_flip() {
+        let mut index = BandIndex::new(BandConfig::new(16, 2, 0x5eed_0016));
+        for id in 0..4u64 {
+            index.insert(id * 11, &sketch(32, 9, id * 6..id * 6 + 48));
+        }
+        assert!(!index.candidate_pairs().is_empty());
+        let mut enc = Enc::new();
+        index.encode_into(&mut enc);
+        let good = enc.into_bytes();
+        let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
+        let flips = (0..good.len() * 8).map(|bit| {
+            let mut bad = good.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            bad
+        });
+        let (mut ok, mut refused) = (0, 0);
+        for bad in cuts.chain(flips) {
+            match BandIndex::decode(&mut Dec::new(&bad)) {
+                Ok(back) => {
+                    ok += 1;
+                    back.candidate_pairs();
+                }
+                Err(Error::Encoding(_)) => refused += 1,
+                Err(other) => panic!("decode failed with a non-encoding error: {other:?}"),
+            }
+        }
+        // Flipped hash bits decode; truncations and version flips do not.
+        assert!(ok > 0 && refused > good.len());
     }
 
     #[test]

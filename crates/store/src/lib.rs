@@ -316,9 +316,9 @@ impl SketchStore {
     }
 
     /// Feeds one `(key, weight)` observation to `instance`'s sketch,
-    /// creating the sketch on first touch. Inactive observations
-    /// (`w <= 0`, non-finite) are ignored, matching the streaming
-    /// sampler's contract.
+    /// creating the sketch on first touch. A zero weight is a valid
+    /// inactive observation: it creates the sketch but is never
+    /// retained.
     ///
     /// With a live index enabled, an observation that changes the
     /// sketch's retained set (or first-touches the instance)
@@ -328,9 +328,12 @@ impl SketchStore {
     ///
     /// # Errors
     ///
+    /// [`Error::InvalidWeight`] for a negative or non-finite `w`,
+    /// checked before routing, so nothing is ingested;
     /// [`Error::ShardUnavailable`] when the owning backend cannot
     /// serve.
     pub fn ingest(&self, instance: u64, key: u64, w: f64) -> Result<()> {
+        check_weight(key, w)?;
         self.backend_of(instance).ingest(instance, key, w)
     }
 
@@ -342,14 +345,19 @@ impl SketchStore {
     ///
     /// # Errors
     ///
-    /// [`Error::ShardUnavailable`] when the owning backend cannot
-    /// serve.
+    /// [`Error::InvalidWeight`] for the first negative or non-finite
+    /// weight in `items`, checked before routing, so nothing in the
+    /// batch is ingested; [`Error::ShardUnavailable`] when the owning
+    /// backend cannot serve.
     pub fn ingest_all(
         &self,
         instance: u64,
         items: impl IntoIterator<Item = (u64, f64)>,
     ) -> Result<()> {
         let items: Vec<(u64, f64)> = items.into_iter().collect();
+        for &(key, w) in &items {
+            check_weight(key, w)?;
+        }
         self.backend_of(instance).ingest_all(instance, &items)
     }
 
@@ -516,13 +524,13 @@ impl SketchStore {
     /// candidate stage of an all-pairs similarity join. Each shard
     /// builds a partial over its own residents under `cfg`, the partials
     /// are built across `engine`'s worker pool, and they are merged in
-    /// shard order. A local shard snapshots its sketches under its lock
-    /// (a cheap stream clone, no hashing inside the critical section)
-    /// and samples and hashes after release, so concurrent `ingest`
-    /// never stalls behind a resident build; a process shard hashes
-    /// entirely inside its worker and ships only the finished partial.
-    /// A partial carries signatures only: the merge moves them into one
-    /// map and builds the index's bucket table once, in one pass.
+    /// shard order. A local shard copies its samples under its lock (no
+    /// hashing inside the critical section) and hashes them after
+    /// release, so concurrent `ingest` never stalls behind a resident
+    /// build; a process shard hashes entirely inside its worker and
+    /// ships only the finished partial. A partial carries signatures
+    /// only: the merge moves them into one map and builds the index's
+    /// bucket table once, one band at a time.
     ///
     /// The result is **bit-identical for every shard count, process
     /// count, worker count, backend kind, and ingest order** —
@@ -610,6 +618,17 @@ impl SketchStore {
             partials.push(backend.live_partial()?);
         }
         Ok(Some(banding::BandIndex::merged(cfg, partials)))
+    }
+}
+
+/// The store's ingest contract: a weight is zero (inactive) or positive
+/// and finite. Checked by the router before any backend sees the item,
+/// so every backend kind rejects the same inputs.
+fn check_weight(key: u64, w: f64) -> Result<()> {
+    if w >= 0.0 && w.is_finite() {
+        Ok(())
+    } else {
+        Err(Error::InvalidWeight { key, weight: w })
     }
 }
 
@@ -869,7 +888,10 @@ mod tests {
         let engine = Engine::with_threads(1);
         let store = SketchStore::with_live_index(16, 9, 2, cfg);
         store.ingest(5, 1, 0.0).unwrap();
-        store.ingest(5, 2, f64::NAN).unwrap();
+        assert!(matches!(
+            store.ingest(5, 2, f64::NAN),
+            Err(Error::InvalidWeight { key: 2, weight }) if weight.is_nan()
+        ));
         assert_eq!(store.live_candidates_of(5).unwrap(), Vec::<u64>::new());
         let live = store.live_index().unwrap().expect("live enabled");
         let rebuilt = store.band_index_with(&cfg, &engine).unwrap();

@@ -29,7 +29,7 @@ pub(crate) const MAX_FRAME: u32 = 1 << 30;
 /// Upper bound on the `k` an [`OP_HELLO`] configures — far above any
 /// store in this repository (the largest keeps 256 entries), so that a
 /// corrupt hello cannot make the worker's first ingest size a huge
-/// sketch heap.
+/// sketch.
 pub(crate) const MAX_HELLO_K: usize = 1 << 20;
 
 pub(crate) const OP_HELLO: u8 = 0;

@@ -759,7 +759,7 @@ mod tests {
         handle.join().expect("serve thread").expect("serve result");
     }
 
-    /// The hello's `k` sizes every sketch heap the worker allocates, so a
+    /// The hello's `k` sizes every sketch the worker allocates, so a
     /// `k` no store uses is refused at the handshake.
     #[test]
     fn serve_refuses_a_hello_with_an_oversized_k() {

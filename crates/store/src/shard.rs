@@ -240,22 +240,22 @@ impl ShardBackend for LocalShard {
     }
 
     fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex> {
-        // Snapshot under the lock (a cheap stream clone — no hashing
-        // inside the critical section), then sample and hash each
-        // snapshot after release, so concurrent ingest never stalls
-        // behind a resident build. The partial carries signatures only;
-        // whoever probes or merges it builds the bucket table.
-        let snaps: Vec<(u64, BottomKStream)> = {
+        // Copy the samples under the lock (no hashing inside the
+        // critical section), then hash them after release, so
+        // concurrent ingest never stalls behind a resident build. The
+        // partial carries signatures only; whoever probes or merges it
+        // builds the bucket table.
+        let samples: Vec<(u64, BottomKSample)> = {
             let state = self.lock();
             state
                 .sketches
                 .iter()
-                .map(|(&id, stream)| (id, stream.clone()))
+                .map(|(&id, stream)| (id, stream.sample()))
                 .collect()
         };
         let mut part = BandIndex::new(*cfg);
-        for (id, stream) in snaps {
-            part.insert(id, &stream.into_sample());
+        for (id, sample) in &samples {
+            part.insert(*id, sample);
         }
         Ok(part)
     }

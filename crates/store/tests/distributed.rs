@@ -76,6 +76,75 @@ fn process_store_spawns_ingests_and_answers() {
     ));
 }
 
+/// The store's ingest contract: a batch carrying a negative or
+/// non-finite weight is refused whole with [`Error::InvalidWeight`],
+/// before routing, so neither the sketches nor the live index move.
+/// The router checks, so local and process shards answer alike.
+fn assert_bad_batches_change_nothing(mut store: SketchStore) {
+    store.enable_live_index(BandConfig::new(8, 2, 5)).unwrap();
+    ingest_workload(&store, 6, 40);
+    let sketches =
+        |store: &SketchStore| -> Vec<_> { (0..6u64).map(|id| store.sketch(id).unwrap()).collect() };
+    let live = |store: &SketchStore| {
+        let index = store.live_index().unwrap().expect("live enabled");
+        let sigs: Vec<Vec<(u32, u64)>> = index
+            .ids()
+            .map(|id| index.signature(id).unwrap().to_vec())
+            .collect();
+        (
+            index.ids().collect::<Vec<_>>(),
+            sigs,
+            index.candidate_pairs(),
+        )
+    };
+    let (sketches_before, live_before) = (sketches(&store), live(&store));
+    // Heavy good items around the bad one: alone, they enter sketch 2.
+    let good = [(1_000_001, 50.0), (1_000_003, 60.0)];
+    for bad in [-1.0, -0.5e-300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let batch = [good[0], (1_000_002, bad), good[1]];
+        for id in [2, 99] {
+            match store.ingest_all(id, batch) {
+                Err(Error::InvalidWeight { key, weight }) => {
+                    assert_eq!(key, 1_000_002);
+                    assert_eq!(weight.to_bits(), bad.to_bits());
+                }
+                other => panic!("weight {bad}: expected InvalidWeight, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            store.ingest(3, 7, bad),
+            Err(Error::InvalidWeight { key: 7, .. })
+        ));
+    }
+    assert_eq!(
+        store.len().unwrap(),
+        6,
+        "a refused batch creates no instance"
+    );
+    assert!(matches!(
+        store.sketch(99),
+        Err(Error::UnknownInstance { id: 99 })
+    ));
+    assert_eq!(sketches(&store), sketches_before);
+    assert_eq!(live(&store), live_before);
+    // Zero stays a valid inactive weight, and the good items alone do
+    // change sketch 2: the refusals above were not vacuous.
+    store.ingest_all(2, [(1_000_002, 0.0)]).unwrap();
+    assert_eq!(sketches(&store), sketches_before);
+    store.ingest_all(2, good).unwrap();
+    assert_ne!(store.sketch(2).unwrap(), sketches_before[2]);
+}
+
+#[test]
+fn bad_weights_are_refused_whole_by_local_shards() {
+    assert_bad_batches_change_nothing(SketchStore::with_shards(16, 0xbad_3e1, 3));
+}
+
+#[test]
+fn bad_weights_are_refused_whole_by_process_shards() {
+    assert_bad_batches_change_nothing(process_store(16, 0xbad_3e1, 2));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24).with_rng_seed(0x2014_0615_000a))]
 

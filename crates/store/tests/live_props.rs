@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use monotone_core::Error;
 use monotone_engine::Engine;
 use monotone_store::banding::{BandConfig, BandIndex};
 use monotone_store::{ProcessShard, ShardBackend, SketchStore};
@@ -40,7 +41,8 @@ fn process_store(k: usize, salt: u64, procs: usize) -> SketchStore {
 /// One randomized store operation.
 #[derive(Debug, Clone)]
 enum Op {
-    /// `ingest(instance, key, weight)` — weight may be inactive.
+    /// `ingest(instance, key, weight)` — weight may be inactive (zero)
+    /// or invalid (NaN).
     One(u64, u64, f64),
     /// `ingest_all(instance, batch)`.
     Batch(u64, Vec<(u64, f64)>),
@@ -50,8 +52,8 @@ enum Op {
 
 /// Weighted op mix via a mapped discriminant (the shim has no
 /// `prop_oneof`): mostly single ingests — a slice of them inactive
-/// (`w = 0` / NaN, which the sampler must ignore) — plus batch ingests
-/// and evicts (which may miss).
+/// (`w = 0`, which the sampler must ignore) or invalid (NaN, which the
+/// store must refuse) — plus batch ingests and evicts (which may miss).
 fn op_strategy() -> impl Strategy<Value = Op> {
     (
         0u64..10, // discriminant: 0-4 ingest, 5 inactive ingest, 6-7 batch, 8-9 evict
@@ -66,6 +68,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             6 | 7 => Op::Batch(inst % 10, batch),
             _ => Op::Evict(inst),
         })
+}
+
+/// Whether `res`, the result of ingesting weight `w`, is the store's
+/// ingest contract: `Ok` for a valid weight, [`Error::InvalidWeight`]
+/// (with nothing ingested) for NaN.
+fn ingest_contract_holds(res: monotone_core::Result<()>, w: f64) -> bool {
+    match res {
+        Ok(()) => !w.is_nan(),
+        Err(Error::InvalidWeight { weight, .. }) => weight.is_nan() && w.is_nan(),
+        Err(_) => false,
+    }
 }
 
 /// Structural equality of two indexes through their whole public
@@ -113,7 +126,9 @@ proptest! {
             [ops.len() / 3, 2 * ops.len() / 3, ops.len()].to_vec();
         for (step, op) in ops.iter().enumerate() {
             match op {
-                Op::One(instance, key, w) => store.ingest(*instance, *key, *w).unwrap(),
+                Op::One(instance, key, w) => {
+                    prop_assert!(ingest_contract_holds(store.ingest(*instance, *key, *w), *w));
+                }
                 Op::Batch(instance, items) => {
                     store.ingest_all(*instance, items.iter().copied()).unwrap()
                 }
@@ -160,8 +175,8 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             match op {
                 Op::One(instance, key, w) => {
-                    local.ingest(*instance, *key, *w).unwrap();
-                    remote.ingest(*instance, *key, *w).unwrap();
+                    prop_assert!(ingest_contract_holds(local.ingest(*instance, *key, *w), *w));
+                    prop_assert!(ingest_contract_holds(remote.ingest(*instance, *key, *w), *w));
                 }
                 Op::Batch(instance, items) => {
                     local.ingest_all(*instance, items.iter().copied()).unwrap();
