@@ -26,11 +26,12 @@
 //!    is one block — the knob that lets N = 10⁶ (≈ 5·10¹¹ potential
 //!    pairs) run in bounded memory.
 //! 3. **Live incremental maintenance** (the service path): a fresh
-//!    live-enabled store ([`SketchStore::with_live_index`]) ingests a
-//!    capped prefix of the pool, re-registering each instance's band
-//!    signature on every retained-set change; the leg records the
-//!    sustained observation rate with maintenance on, and checks the
-//!    live index equals a from-scratch rebuild.
+//!    store with its live index enabled
+//!    ([`SketchStore::enable_live_index`]) ingests a capped prefix of
+//!    the pool, re-registering each instance's band signature on every
+//!    retained-set change; the leg records the sustained observation
+//!    rate with maintenance on, and checks the live index equals a
+//!    from-scratch rebuild.
 //!
 //! The pool is [`workload::planted_pair_pool`] — `distinct_group_pool`
 //! generalized to pool scale, N swept across 10⁴–10⁶ with a
@@ -39,15 +40,6 @@
 //! candidates the verifier must reject). Recall is measured against the
 //! brute-force exact join on a fixed 256-instance slice.
 //!
-//! The CSV carries only the deterministic join outcome (byte-identical
-//! at every shard × worker geometry). The measured rates —
-//! `candidate_pairs_per_sec`, `verify_pairs_per_sec`,
-//! `build_instances_per_sec`, `updates_per_sec`, the
-//! `peak_candidate_block` ceiling, and the `build_speedup_4w` /
-//! `build_parallelism` lane pair — and the minimum recall ride
-//! `BENCH_allpairs.json` via [`FinishOut::bench_fields`], where CI
-//! gates them against the committed baseline.
-//!
 //! A **distributed leg** rides the first unit (n = 10⁴): the same
 //! live-enabled store stood up over
 //! [`SketchStore::with_process_shards`] — `distributed_procs()` child
@@ -55,10 +47,19 @@
 //! transport, builds the merged band index from worker-side partials,
 //! and answers a panel of gathered `live_candidates_of` probes, all
 //! asserted bit-identical to the in-process store. Its CSV
-//! (`e18_allpairs_dist.csv`) is byte-identical at every process count;
-//! the measured distributed build rate and gather latency percentiles
-//! ride `BENCH_allpairs.json` (`dist_build_instances_per_sec`,
-//! `live_gather_p50_us`/`p99_us`), where CI gates them.
+//! (`e18_allpairs_dist.csv`) is byte-identical at every process count.
+//!
+//! The CSVs carry only the deterministic join outcome (byte-identical
+//! at every shard × worker geometry). `BENCH_allpairs.json` gets four
+//! fields via [`FinishOut::bench_fields`], each gated by CI against the
+//! committed record: the minimum slice `recall`, the
+//! `peak_candidate_block` ceiling, and the two rates no workload of the
+//! repository benchmark (`perfbench/`) covers — the live leg's
+//! `updates_per_sec` (in-process re-registration alone) and the
+//! distributed build's `dist_build_instances_per_sec` (partials shipped
+//! over the pipe). The benchmark's `join` workload times the build,
+//! extraction and verification; its `churn` workload the gathered live
+//! probes.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -102,9 +103,6 @@ const BLOCK: usize = 8_192;
 /// The live-maintenance leg ingests at most this many instances (its
 /// rate is per-observation; capping keeps the 10⁶ units affordable).
 const LIVE_CAP: u64 = 100_000;
-/// The unit whose build is additionally timed at 1 vs 4 workers for the
-/// `build_speedup_4w` record.
-const SPEEDUP_N: u64 = 100_000;
 /// The unit (by pool size) that carries the distributed leg.
 const DIST_N: u64 = 10_000;
 /// Gathered `live_candidates_of` probes answered by the distributed
@@ -128,18 +126,14 @@ fn band_config(p: &Prepared) -> BandConfig {
     BandConfig::new(BANDS, ROWS, p.salt)
 }
 
-/// Stage 1: sketch the pool (untimed — priced by the `service`
-/// scenario), then the timed parallel blocked index build over the
-/// resident sketches.
-fn stage_build(p: &Prepared, engine: &Engine) -> Result<(BandIndex, f64)> {
+/// Stage 1: sketch the pool, then the parallel blocked index build over
+/// the resident sketches.
+fn stage_build(p: &Prepared, engine: &Engine) -> Result<BandIndex> {
     let store = SketchStore::new(K, p.salt);
     for (id, inst) in p.pool.iter().enumerate() {
         store.ingest_all(id as u64, inst.iter())?;
     }
-    let cfg = band_config(p);
-    let start = Instant::now();
-    let index = store.band_index_with(&cfg, engine)?;
-    Ok((index, start.elapsed().as_secs_f64()))
+    store.band_index_with(&band_config(p), engine)
 }
 
 /// Outcome of the streamed extract-and-verify pass over one unit.
@@ -158,10 +152,6 @@ struct Verified {
     agree: usize,
     /// Candidate pairs with both endpoints inside the recall slice.
     slice_pairs: Vec<(u64, u64)>,
-    /// Seconds spent inside engine verification.
-    verify_secs: f64,
-    /// Seconds spent walking the index into blocks (total − verify).
-    extract_secs: f64,
 }
 
 impl Verified {
@@ -185,7 +175,6 @@ fn stage_verify_streamed(p: &Prepared, index: &BandIndex, engine: &Engine) -> Re
     let jaccard = |union: f64| (2.0 * ITEMS as f64 - union) / union;
     let mut v = Verified::default();
     let mut err: Option<monotone_core::Error> = None;
-    let start = Instant::now();
     index.for_each_candidate_block(BLOCK, |block| {
         if err.is_some() {
             return;
@@ -198,7 +187,6 @@ fn stage_verify_streamed(p: &Prepared, index: &BandIndex, engine: &Engine) -> Re
             .iter()
             .map(|&(a, b)| PairJob::new(&p.pool[a as usize], &p.pool[b as usize], p.salt))
             .collect();
-        let verify_start = Instant::now();
         match engine.run(&jobs, &query) {
             Err(e) => err = Some(e),
             Ok(batch) => {
@@ -211,13 +199,11 @@ fn stage_verify_streamed(p: &Prepared, index: &BandIndex, engine: &Engine) -> Re
                 }
             }
         }
-        v.verify_secs += verify_start.elapsed().as_secs_f64();
     });
-    if let Some(e) = err {
-        return Err(e);
+    match err {
+        Some(e) => Err(e),
+        None => Ok(v),
     }
-    v.extract_secs = (start.elapsed().as_secs_f64() - v.verify_secs).max(0.0);
-    Ok(v)
 }
 
 /// Stage 3: the live-maintenance leg. A fresh live-enabled store
@@ -228,7 +214,8 @@ fn stage_verify_streamed(p: &Prepared, index: &BandIndex, engine: &Engine) -> Re
 fn stage_live(p: &Prepared) -> Result<(u64, f64, bool)> {
     let live_n = (p.pool.len() as u64).min(LIVE_CAP) as usize;
     let cfg = band_config(p);
-    let store = SketchStore::with_live_index(K, p.salt, 16, cfg);
+    let mut store = SketchStore::new(K, p.salt);
+    store.enable_live_index(cfg)?;
     let start = Instant::now();
     for (id, inst) in p.pool[..live_n].iter().enumerate() {
         store.ingest_all(id as u64, inst.iter())?;
@@ -243,14 +230,9 @@ fn stage_live(p: &Prepared) -> Result<(u64, f64, bool)> {
 
 /// Outcome of the distributed leg.
 struct DistOut {
-    /// Instances ingested through the pipe transport.
-    instances: f64,
     /// Wall seconds of the distributed (worker-side partials + merge)
     /// band build.
     build_secs: f64,
-    /// Gathered live-probe latency percentiles (µs).
-    p50_us: f64,
-    p99_us: f64,
     /// Distributed index and every gathered probe were bit-identical to
     /// the in-process store's.
     matches_local: bool,
@@ -283,22 +265,13 @@ fn stage_dist(p: &Prepared, engine: &Engine) -> Result<DistOut> {
         && dist_index.candidate_pairs() == reference.candidate_pairs();
 
     let n = p.pool.len() as u64;
-    let mut latencies_us = Vec::with_capacity(DIST_PROBES);
     for j in 0..DIST_PROBES {
         let id = (j as u64 * 131) % n;
-        let probe_start = Instant::now();
-        let gathered = remote.live_candidates_of(id)?;
-        latencies_us.push(probe_start.elapsed().as_secs_f64() * 1e6);
-        matches_local &= gathered == local.live_candidates_of(id)?;
+        matches_local &= remote.live_candidates_of(id)? == local.live_candidates_of(id)?;
     }
-    latencies_us.sort_by(f64::total_cmp);
-    let pct = |p: f64| latencies_us[((latencies_us.len() - 1) as f64 * p).round() as usize];
 
     Ok(DistOut {
-        instances: n as f64,
         build_secs,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
         matches_local,
         row: vec![
             format!("{n}"),
@@ -382,28 +355,9 @@ impl Scenario for AllPairs {
             .map(|unit| {
                 let n = NS[unit];
                 let prepared = prepare(unit);
-                let (index, build_secs) = stage_build(&prepared, engine)?;
+                let index = stage_build(&prepared, engine)?;
                 let verified = stage_verify_streamed(&prepared, &index, engine)?;
                 let (live_updates, live_secs, live_ok) = stage_live(&prepared)?;
-
-                // The 1-vs-4-worker build comparison, on one fixed unit.
-                let (build1_secs, build4_secs) = if n == SPEEDUP_N {
-                    let cfg = band_config(&prepared);
-                    let store = SketchStore::new(K, prepared.salt);
-                    for (id, inst) in prepared.pool.iter().enumerate() {
-                        store.ingest_all(id as u64, inst.iter())?;
-                    }
-                    let t1 = Instant::now();
-                    let i1 = store.band_index_with(&cfg, &Engine::with_threads(1))?;
-                    let s1 = t1.elapsed().as_secs_f64();
-                    let t4 = Instant::now();
-                    let i4 = store.band_index_with(&cfg, &Engine::with_threads(4))?;
-                    let s4 = t4.elapsed().as_secs_f64();
-                    assert_eq!(i1.len(), i4.len(), "worker count must not change the index");
-                    (s1, s4)
-                } else {
-                    (0.0, 0.0)
-                };
 
                 // Recall against the brute-force slice join, off the
                 // streamed slice-local candidates (both endpoints are
@@ -454,29 +408,21 @@ impl Scenario for AllPairs {
                 }
 
                 // Metrics layout consumed by finish: the deterministic
-                // join shape, then the measured stage legs.
+                // join shape, then the two measured legs (the
+                // distributed one zero off its unit).
                 out.metric(recall) // 0
                     .metric(verified.agreement()) // 1
                     .metric(frac) // 2
-                    .metric(verified.candidates as f64) // 3
-                    .metric(n as f64) // 4
-                    .metric(build_secs) // 5
-                    .metric(verified.extract_secs) // 6
-                    .metric(verified.verify_secs) // 7
-                    .metric(verified.peak_block as f64) // 8
-                    .metric(live_updates as f64) // 9
-                    .metric(live_secs) // 10
-                    .metric(if live_ok { 1.0 } else { 0.0 }) // 11
-                    .metric(build1_secs) // 12
-                    .metric(build4_secs) // 13
-                    .metric(dist.as_ref().map_or(0.0, |d| d.instances)) // 14
-                    .metric(dist.as_ref().map_or(0.0, |d| d.build_secs)) // 15
-                    .metric(dist.as_ref().map_or(0.0, |d| d.p50_us)) // 16
-                    .metric(dist.as_ref().map_or(0.0, |d| d.p99_us)) // 17
+                    .metric(verified.peak_block as f64) // 3
+                    .metric(if live_ok { 1.0 } else { 0.0 }) // 4
+                    .metric(live_updates as f64) // 5
+                    .metric(live_secs) // 6
+                    .metric(if dist.is_some() { n as f64 } else { 0.0 }) // 7
+                    .metric(dist.as_ref().map_or(0.0, |d| d.build_secs)) // 8
                     .metric(
                         dist.as_ref()
                             .map_or(1.0, |d| f64::from(u8::from(d.matches_local))),
-                    ); // 18
+                    ); // 9
                 Ok(out)
             })
             .collect()
@@ -516,65 +462,30 @@ impl Scenario for AllPairs {
         let recall_ok = recall_min >= 0.9;
         let agree_ok = outs.iter().all(|o| o.metrics[1] >= 0.98);
         let subquad_ok = outs.iter().all(|o| o.metrics[2] < 1e-3);
-        let live_ok = outs.iter().all(|o| o.metrics[11] == 1.0);
+        let peak_block: f64 = outs.iter().map(|o| o.metrics[3]).fold(0.0, f64::max);
+        let live_ok = outs.iter().all(|o| o.metrics[4] == 1.0);
+        let dist_ok = outs.iter().all(|o| o.metrics[9] == 1.0);
 
-        // Measured stage rates for the timing record.
-        let cands: f64 = outs.iter().map(|o| o.metrics[3]).sum();
-        let instances: f64 = outs.iter().map(|o| o.metrics[4]).sum();
-        let build_secs: f64 = outs.iter().map(|o| o.metrics[5]).sum();
-        let extract_secs: f64 = outs.iter().map(|o| o.metrics[6]).sum();
-        let verify_secs: f64 = outs.iter().map(|o| o.metrics[7]).sum();
-        let peak_block: f64 = outs.iter().map(|o| o.metrics[8]).fold(0.0, f64::max);
-        let live_updates: f64 = outs.iter().map(|o| o.metrics[9]).sum();
-        let live_secs: f64 = outs.iter().map(|o| o.metrics[10]).sum();
-        let build1_secs: f64 = outs.iter().map(|o| o.metrics[12]).sum();
-        let build4_secs: f64 = outs.iter().map(|o| o.metrics[13]).sum();
-        // Distributed leg (one unit; neutral elsewhere).
-        let dist_instances: f64 = outs.iter().map(|o| o.metrics[14]).sum();
-        let dist_build_secs: f64 = outs.iter().map(|o| o.metrics[15]).sum();
-        let gather_p50 = outs.iter().map(|o| o.metrics[16]).fold(0.0, f64::max);
-        let gather_p99 = outs.iter().map(|o| o.metrics[17]).fold(0.0, f64::max);
-        let dist_ok = outs.iter().all(|o| o.metrics[18] == 1.0);
-        let dist_build_rate = dist_instances / dist_build_secs.max(1e-9);
-
-        let cand_rate = cands / (build_secs + extract_secs).max(1e-9);
-        let verify_rate = cands / verify_secs.max(1e-9);
-        let build_rate = instances / build_secs.max(1e-9);
-        let update_rate = live_updates / live_secs.max(1e-9);
-        let speedup_4w = build1_secs / build4_secs.max(1e-9);
-        let parallelism = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1) as f64;
+        // The two measured legs, for the timing record.
+        let sum = |m: usize| -> f64 { outs.iter().map(|o| o.metrics[m]).sum() };
+        let update_rate = sum(5) / sum(6).max(1e-9);
+        let dist_build_rate = sum(7) / sum(8).max(1e-9);
 
         FinishOut::new(
             vec![
                 t.render(),
                 format!(
-                    "\nbuild: {:.2}M instances/s ({} workers); extraction+verify streamed in \
-                     ≤{}-pair blocks (peak {}); candidates {:.2}M pairs/s, verification \
-                     {:.2}M pairs/s ({} candidates over the sweep)",
-                    build_rate / 1e6,
-                    parallelism,
-                    BLOCK,
+                    "\nextraction streamed in ≤{BLOCK}-pair blocks (peak {}); live \
+                     maintenance {:.2}M observations/s over {} observations, live ≡ \
+                     rebuild at every unit ({live_ok})",
                     peak_block as u64,
-                    cand_rate / 1e6,
-                    verify_rate / 1e6,
-                    cands as u64,
-                ),
-                format!(
-                    "live maintenance: {:.2}M observations/s over {} observations, \
-                     live ≡ rebuild at every unit ({live_ok}); 4-worker build speedup \
-                     {:.2}x at n = {SPEEDUP_N} (runner parallelism {})",
                     update_rate / 1e6,
-                    live_updates as u64,
-                    speedup_4w,
-                    parallelism,
+                    sum(5) as u64,
                 ),
                 format!(
                     "distributed leg (n = {DIST_N}, {} process shards): merged band build \
-                     {:.2}M instances/s from worker-side partials; gathered live probes \
-                     p50 {gather_p50:.1}µs, p99 {gather_p99:.1}µs; index and probes \
-                     bit-identical to the in-process store ({dist_ok})",
+                     {:.2}M instances/s from worker-side partials; index and {DIST_PROBES} \
+                     gathered live probes bit-identical to the in-process store ({dist_ok})",
                     crate::distributed_procs(),
                     dist_build_rate / 1e6,
                 ),
@@ -587,17 +498,9 @@ impl Scenario for AllPairs {
             ],
             recall_ok && agree_ok && subquad_ok && live_ok && dist_ok,
         )
-        .with_bench_field("candidate_pairs_per_sec", cand_rate)
-        .with_bench_field("verify_pairs_per_sec", verify_rate)
         .with_bench_field("recall", recall_min)
-        .with_bench_field("build_instances_per_sec", build_rate)
         .with_bench_field("peak_candidate_block", peak_block)
         .with_bench_field("updates_per_sec", update_rate)
-        .with_bench_field("build_speedup_4w", speedup_4w)
-        .with_bench_field("build_parallelism", parallelism)
         .with_bench_field("dist_build_instances_per_sec", dist_build_rate)
-        .with_bench_field("live_gather_p50_us", gather_p50)
-        .with_bench_field("live_gather_p99_us", gather_p99)
-        .with_bench_field("dist_matches_local", f64::from(u8::from(dist_ok)))
     }
 }

@@ -13,11 +13,7 @@
 //! per k.
 //!
 //! The CSV carries only the deterministic error sweep (byte-identical at
-//! every shard × worker geometry). The measured service rates — sustained
-//! ingest items/s and query latency percentiles over the 10⁵-instance
-//! resident store — ride the timing record (`BENCH_service.json`) via
-//! [`FinishOut::bench_fields`], the same perf-trajectory convention as
-//! `BENCH_engine.json`.
+//! every shard × worker geometry).
 //!
 //! A **distributed leg** rides the k = 32 unit: the same service stood
 //! up over [`SketchStore::with_process_shards`] — `distributed_procs()`
@@ -25,13 +21,14 @@
 //! resident set over the pipe transport and answers a gathered query
 //! panel, asserting every estimate is bit-identical to an in-process
 //! reference store. Its CSV (`e17_service_dist.csv`) is therefore
-//! byte-identical at every process count; the measured remote ingest
-//! rate and gathered-query latency percentiles ride
-//! `BENCH_service.json` (`remote_ingest_items_per_sec`,
-//! `gather_query_p50_us`/`p99_us`), where CI gates them.
+//! byte-identical at every process count.
+//!
+//! This scenario measures no speed. The repository benchmark
+//! (`perfbench/`) times the same paths: its `service` workload the
+//! in-process ingest and group queries, its `churn` workload the ingest
+//! and gathered queries over process shards.
 
 use std::ops::Range;
-use std::time::Instant;
 
 use monotone_core::Result;
 use monotone_engine::{CsvSpec, Engine, EngineQuery, FinishOut, Scenario, UnitOut};
@@ -87,43 +84,23 @@ fn panel() -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Outcome of the distributed leg.
-struct DistLeg {
-    /// Items ingested through the pipe transport.
-    items: f64,
-    /// Wall seconds of that remote ingest.
-    ingest_secs: f64,
-    /// Gathered-query latency percentiles (µs).
-    p50_us: f64,
-    p99_us: f64,
-    /// Every remote estimate was bit-identical to the local reference.
-    matches_local: bool,
-    /// Deterministic CSV row for `e17_service_dist.csv`.
-    row: Vec<String>,
-}
-
 /// The distributed leg: stand the same service up over
 /// `distributed_procs()` child-process shards, ingest
 /// [`DIST_INSTANCES`] instances over the pipe, answer a gathered query
 /// panel, and verify every estimate against an in-process reference
 /// store built from the same stream. Estimates are required to be
 /// bit-identical — the transport must be invisible — which is what
-/// keeps the dist CSV byte-identical at every process count.
-fn dist_leg(engine: &Engine, query: &EngineQuery) -> Result<DistLeg> {
+/// keeps the dist CSV byte-identical at every process count. Returns
+/// whether they were, and the row for `e17_service_dist.csv`.
+fn dist_leg(engine: &Engine, query: &EngineQuery) -> Result<(bool, Vec<String>)> {
     let procs = crate::distributed_procs();
     let remote = SketchStore::with_process_shards(DIST_K, SALT, procs)?;
     let local = SketchStore::new(DIST_K, SALT);
-
-    let ingest_start = Instant::now();
     for id in 0..DIST_INSTANCES {
         remote.ingest_all(id, window(id))?;
-    }
-    let ingest_secs = ingest_start.elapsed().as_secs_f64();
-    for id in 0..DIST_INSTANCES {
         local.ingest_all(id, window(id))?;
     }
 
-    let mut latencies_us = Vec::with_capacity(DIST_QUERIES);
     let mut matches_local = true;
     let mut sum_truth = 0.0;
     let mut sum_est = 0.0;
@@ -131,33 +108,21 @@ fn dist_leg(engine: &Engine, query: &EngineQuery) -> Result<DistLeg> {
         let d = DISTANCES[j % DISTANCES.len()];
         let a = (j as u64 * 487) % (DIST_INSTANCES - DISTANCES[DISTANCES.len() - 1] - 1);
         let group = [a, a + d];
-        let q_start = Instant::now();
         let est = remote.query_group(engine, query, &group)?;
-        latencies_us.push(q_start.elapsed().as_secs_f64() * 1e6);
-        let reference = local.query_group(engine, query, &group)?;
-        matches_local &= est == reference;
+        matches_local &= est == local.query_group(engine, query, &group)?;
         sum_truth += union_truth(d);
         sum_est += est.estimates[0];
     }
-    latencies_us.sort_by(f64::total_cmp);
-    let pct = |p: f64| latencies_us[((latencies_us.len() - 1) as f64 * p).round() as usize];
     let n = DIST_QUERIES as f64;
-
-    Ok(DistLeg {
-        items: (DIST_INSTANCES * ITEMS) as f64,
-        ingest_secs,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        matches_local,
-        row: vec![
-            format!("{DIST_K}"),
-            format!("{DIST_INSTANCES}"),
-            format!("{DIST_QUERIES}"),
-            format!("{}", sum_truth / n),
-            format!("{}", sum_est / n),
-            format!("{}", u8::from(matches_local)),
-        ],
-    })
+    let row = vec![
+        format!("{DIST_K}"),
+        format!("{DIST_INSTANCES}"),
+        format!("{DIST_QUERIES}"),
+        format!("{}", sum_truth / n),
+        format!("{}", sum_est / n),
+        format!("{}", u8::from(matches_local)),
+    ];
+    Ok((matches_local, row))
 }
 
 pub struct Service;
@@ -168,7 +133,7 @@ impl Scenario for Service {
     }
 
     fn description(&self) -> &'static str {
-        "E17: resident sketch store, k vs estimate error with ingest/query rates"
+        "E17: resident sketch store, k vs estimate error, local and over process shards"
     }
 
     fn artifacts(&self) -> Vec<CsvSpec> {
@@ -205,8 +170,7 @@ impl Scenario for Service {
 
     fn run_shard(&self, units: Range<usize>, _engine: &Engine) -> Result<Vec<UnitOut>> {
         // Store queries run single-threaded: each query is one tiny
-        // union, and the latency percentiles should price the service
-        // path itself, not pool scheduling.
+        // union, too small to fan out over a pool.
         let engine = Engine::with_threads(1);
         let query = EngineQuery::distinct_k(2, 1.0);
         let panel = panel();
@@ -214,24 +178,17 @@ impl Scenario for Service {
             .map(|unit| {
                 let k = KS[unit];
                 let store = SketchStore::new(k, SALT);
-
-                let ingest_start = Instant::now();
                 for id in 0..INSTANCES {
                     store.ingest_all(id, window(id))?;
                 }
-                let ingest_secs = ingest_start.elapsed().as_secs_f64();
 
-                let mut latencies_us = Vec::with_capacity(panel.len());
                 let mut sum_truth = 0.0;
                 let mut sum_est = 0.0;
                 let mut sum_rel = 0.0;
                 let mut sum_sq = 0.0;
                 for &(a, d) in &panel {
                     let truth = union_truth(d);
-                    let q_start = Instant::now();
-                    let est = store.query_group(&engine, &query, &[a, a + d])?;
-                    latencies_us.push(q_start.elapsed().as_secs_f64() * 1e6);
-                    let e = est.estimates[0];
+                    let e = store.query_group(&engine, &query, &[a, a + d])?.estimates[0];
                     sum_truth += truth;
                     sum_est += e;
                     sum_rel += (e - truth).abs() / truth;
@@ -267,35 +224,18 @@ impl Scenario for Service {
                     ],
                 );
                 // The distributed leg rides exactly one unit of the
-                // sweep; other units contribute neutral metrics.
-                let dist = if k == DIST_K {
-                    Some(dist_leg(&engine, &query)?)
-                } else {
-                    None
-                };
-                if let Some(d) = &dist {
-                    out.row(1, d.row.clone());
+                // sweep; other units report a match.
+                let mut dist_ok = true;
+                if k == DIST_K {
+                    let (matches_local, row) = dist_leg(&engine, &query)?;
+                    dist_ok = matches_local;
+                    out.row(1, row);
                 }
 
-                // Metrics layout consumed by finish: the deterministic
-                // error pair, the measured ingest leg, the distributed
-                // leg (zeros off its unit), then the raw per-query
-                // latencies.
+                // Metrics layout consumed by finish.
                 out.metric(mean_rel) // 0
                     .metric(nrmse) // 1
-                    .metric((INSTANCES * ITEMS) as f64) // 2
-                    .metric(ingest_secs) // 3
-                    .metric(dist.as_ref().map_or(0.0, |d| d.items)) // 4
-                    .metric(dist.as_ref().map_or(0.0, |d| d.ingest_secs)) // 5
-                    .metric(dist.as_ref().map_or(0.0, |d| d.p50_us)) // 6
-                    .metric(dist.as_ref().map_or(0.0, |d| d.p99_us)) // 7
-                    .metric(
-                        dist.as_ref()
-                            .map_or(1.0, |d| f64::from(u8::from(d.matches_local))),
-                    ); // 8
-                for lat in latencies_us {
-                    out.metric(lat);
-                }
+                    .metric(f64::from(u8::from(dist_ok))); // 2
                 Ok(out)
             })
             .collect()
@@ -325,49 +265,16 @@ impl Scenario for Service {
         let last = outs.last().map_or(f64::NAN, |o| o.metrics[1]);
         let converges = last < first;
 
-        // Measured service rates for the timing record: ingest summed
-        // over the sweep, latency percentiles pooled over every query of
-        // every unit (each answered against a full resident store).
-        let items: f64 = outs.iter().map(|o| o.metrics[2]).sum();
-        let secs: f64 = outs.iter().map(|o| o.metrics[3]).sum();
-        let ingest_rate = items / secs.max(1e-9);
-        // The distributed leg rides one unit; off-unit metrics are
-        // neutral (zeros, matches = 1), so sums and maxes pick it out.
-        let dist_items: f64 = outs.iter().map(|o| o.metrics[4]).sum();
-        let dist_secs: f64 = outs.iter().map(|o| o.metrics[5]).sum();
-        let remote_rate = dist_items / dist_secs.max(1e-9);
-        let gather_p50 = outs.iter().map(|o| o.metrics[6]).fold(0.0, f64::max);
-        let gather_p99 = outs.iter().map(|o| o.metrics[7]).fold(0.0, f64::max);
-        let dist_ok = outs.iter().all(|o| o.metrics[8] == 1.0);
-        let mut lats: Vec<f64> = outs
-            .iter()
-            .flat_map(|o| o.metrics[9..].iter().copied())
-            .collect();
-        lats.sort_by(f64::total_cmp);
-        let pct = |p: f64| -> f64 {
-            if lats.is_empty() {
-                return 0.0;
-            }
-            lats[((lats.len() - 1) as f64 * p).round() as usize]
-        };
-        let (p50, p99) = (pct(0.50), pct(0.99));
+        let dist_ok = outs.iter().all(|o| o.metrics[2] == 1.0);
 
         FinishOut::new(
             vec![
                 t.render(),
                 format!(
-                    "\nsustained ingest: {:.2}M items/s; query latency over {} queries: \
-                     p50 {p50:.1}µs, p99 {p99:.1}µs",
-                    ingest_rate / 1e6,
-                    lats.len(),
-                ),
-                format!(
-                    "distributed leg (k = {DIST_K}, {} process shards): remote ingest \
-                     {:.2}M items/s over {DIST_INSTANCES} instances; gathered queries \
-                     p50 {gather_p50:.1}µs, p99 {gather_p99:.1}µs; every estimate \
-                     bit-identical to the in-process reference ({dist_ok})",
+                    "\ndistributed leg (k = {DIST_K}, {} process shards): {DIST_INSTANCES} \
+                     instances ingested over the pipe, {DIST_QUERIES} gathered queries, \
+                     every estimate bit-identical to the in-process reference ({dist_ok})",
                     crate::distributed_procs(),
-                    remote_rate / 1e6,
                 ),
                 format!(
                     "paper-shape checks: errors finite at every k ({finite}), \
@@ -378,13 +285,5 @@ impl Scenario for Service {
             ],
             finite && converges && dist_ok,
         )
-        .with_bench_field("resident_instances", (KS.len() as u64 * INSTANCES) as f64)
-        .with_bench_field("ingest_items_per_sec", ingest_rate)
-        .with_bench_field("query_p50_us", p50)
-        .with_bench_field("query_p99_us", p99)
-        .with_bench_field("remote_ingest_items_per_sec", remote_rate)
-        .with_bench_field("gather_query_p50_us", gather_p50)
-        .with_bench_field("gather_query_p99_us", gather_p99)
-        .with_bench_field("remote_matches_local", f64::from(u8::from(dist_ok)))
     }
 }

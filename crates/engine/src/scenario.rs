@@ -154,9 +154,9 @@ pub struct FinishOut {
     /// Scenario-contributed numeric fields spliced into the
     /// `BENCH_<name>.json` timing record
     /// ([`ScenarioRun::timing_json`](crate::ScenarioRun::timing_json)) —
-    /// throughputs and latency percentiles a scenario measures itself
-    /// (e.g. the service scenario's sustained ingest rate). Keys must be
-    /// unique and not collide with the fixed schema keys.
+    /// figures a scenario measures itself and CI gates (e.g. the
+    /// allpairs scenario's minimum slice recall). Keys must be unique and
+    /// not collide with the fixed schema keys.
     pub bench_fields: Vec<(String, f64)>,
 }
 

@@ -878,18 +878,34 @@ mod tests {
         }
         let reference = index.candidate_pairs();
         assert!(!reference.is_empty(), "workload must produce candidates");
+        // The most pairs one id contributes: its whole partner run goes
+        // into the same block.
+        let max_run = reference
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(<[_]>::len)
+            .max()
+            .unwrap();
         for block in [1usize, 2, 3, 7, reference.len(), reference.len() + 10] {
             let mut streamed = Vec::new();
-            let mut blocks = 0usize;
+            let mut sizes = Vec::new();
             index.for_each_candidate_block(block, |b| {
                 assert!(!b.is_empty());
                 assert!(b.windows(2).all(|w| w[0] < w[1]), "block sorted");
                 streamed.extend_from_slice(b);
-                blocks += 1;
+                sizes.push(b.len());
             });
             assert_eq!(streamed, reference, "block={block}");
+            // O(block) memory: a block is handed out as soon as it holds
+            // `block` pairs, so only the last may be short, and none
+            // overshoots by a whole partner run.
+            let (_, full) = sizes.split_last().unwrap();
+            assert!(full.iter().all(|&n| n >= block), "block={block}: {sizes:?}");
+            assert!(
+                sizes.iter().all(|&n| n < block + max_run),
+                "block={block}: {sizes:?}"
+            );
             if block == 1 {
-                assert!(blocks > 1, "small blocks must actually stream");
+                assert!(sizes.len() > 1, "small blocks must actually stream");
             }
         }
         // An empty index streams nothing.

@@ -134,7 +134,7 @@ pub struct GroupEstimate {
 /// shard code.
 ///
 /// A store can additionally maintain a **live**
-/// [`banding::BandIndex`] (see [`SketchStore::with_live_index`]):
+/// [`banding::BandIndex`] (see [`SketchStore::enable_live_index`]):
 /// each shard re-registers an instance's band signature whenever an
 /// ingest changes its retained set — `O(bands)` per touched instance,
 /// nothing for the warm-stream majority of observations that change
@@ -220,27 +220,6 @@ impl SketchStore {
             backends.push(Arc::new(ProcessShard::spawn(command, ordinal, k, salt)?));
         }
         Ok(SketchStore::with_backends(k, salt, backends))
-    }
-
-    /// A store over in-process shards that maintains a live
-    /// [`banding::BandIndex`] under `cfg` from the first ingest on.
-    /// Equivalent to [`SketchStore::with_shards`] followed by
-    /// [`SketchStore::enable_live_index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `shards == 0`.
-    pub fn with_live_index(
-        k: usize,
-        salt: u64,
-        shards: usize,
-        cfg: banding::BandConfig,
-    ) -> SketchStore {
-        let mut store = SketchStore::with_shards(k, salt, shards);
-        store
-            .enable_live_index(cfg)
-            .expect("local shards cannot fail");
-        store
     }
 
     /// Turns on live band-index maintenance under `cfg` (replacing any
@@ -580,7 +559,6 @@ impl SketchStore {
     /// # Panics
     ///
     /// Panics if the store has no live index (see
-    /// [`SketchStore::with_live_index`] /
     /// [`SketchStore::enable_live_index`]) — querying a disabled
     /// capability is a caller bug, not a data-dependent condition.
     pub fn live_candidates_of(&self, instance: u64) -> Result<Vec<u64>> {
@@ -821,7 +799,8 @@ mod tests {
     fn live_index_tracks_ingest_and_evict() {
         let cfg = banding::BandConfig::new(8, 2, 5);
         let engine = Engine::with_threads(1);
-        let store = SketchStore::with_live_index(32, 9, 4, cfg);
+        let mut store = SketchStore::with_shards(32, 9, 4);
+        store.enable_live_index(cfg).unwrap();
         for key in 0..40u64 {
             store.ingest(0, key, 1.0).unwrap();
             store.ingest(1, key + 2, 1.0).unwrap();
@@ -886,7 +865,8 @@ mod tests {
         // rebuild does.
         let cfg = banding::BandConfig::new(8, 2, 5);
         let engine = Engine::with_threads(1);
-        let store = SketchStore::with_live_index(16, 9, 2, cfg);
+        let mut store = SketchStore::with_shards(16, 9, 2);
+        store.enable_live_index(cfg).unwrap();
         store.ingest(5, 1, 0.0).unwrap();
         assert!(matches!(
             store.ingest(5, 2, f64::NAN),

@@ -770,6 +770,124 @@ mod tests {
         handle.join().expect("serve thread").expect("serve result");
     }
 
+    /// A served session with residents and a live index, so that every
+    /// valid request below reaches the shard code it names.
+    fn open_session(cfg: &BandConfig) -> (UnixStream, std::thread::JoinHandle<io::Result<()>>) {
+        let (mut sock, handle) = spawn_server();
+        assert_eq!(
+            roundtrip(&mut sock, &hello(8, 7)),
+            [STATUS_OK, PROTO_VERSION]
+        );
+        for id in 0..6u64 {
+            let mut req = Enc::new();
+            req.put_u8(OP_INGEST_ALL);
+            req.put_u64(id);
+            req.put_len(12);
+            for key in id * 4..id * 4 + 12 {
+                req.put_u64(key);
+                req.put_f64(1.0 + (key % 3) as f64);
+            }
+            assert_eq!(roundtrip(&mut sock, &req.into_bytes()), [STATUS_OK]);
+        }
+        let mut req = Enc::new();
+        req.put_u8(OP_ENABLE_LIVE);
+        cfg.encode_into(&mut req);
+        assert_eq!(roundtrip(&mut sock, &req.into_bytes()), [STATUS_OK]);
+        (sock, handle)
+    }
+
+    /// Pinned fuzzing of the worker loop: every truncation and every
+    /// single-bit flip of one valid request per opcode is answered with
+    /// a known status, and the session keeps serving (`OP_LEN` still
+    /// answers) unless the frame asked to shut down.
+    #[test]
+    fn serve_survives_every_truncation_and_bit_flip_of_each_request() {
+        let cfg = BandConfig::new(4, 2, 11);
+        let (mut sock, mut handle) = open_session(&cfg);
+
+        let request = |op: u8, body: &dyn Fn(&mut Enc)| {
+            let mut req = Enc::new();
+            req.put_u8(op);
+            body(&mut req);
+            req.into_bytes()
+        };
+        let signature = roundtrip(&mut sock, &request(OP_LIVE_SIGNATURE, &|r| r.put_u64(1)));
+        assert_eq!(signature[..2], [STATUS_OK, 1], "instance 1 is live");
+        let mut candidates = vec![OP_LIVE_CANDIDATES];
+        candidates.extend_from_slice(&signature[2..]);
+        let frames = [
+            request(OP_INGEST_ALL, &|r| {
+                r.put_u64(3);
+                r.put_len(2);
+                for key in [40u64, 41] {
+                    r.put_u64(key);
+                    r.put_f64(2.5);
+                }
+            }),
+            request(OP_EVICT, &|r| r.put_u64(2)),
+            request(OP_LEN, &|_| {}),
+            request(OP_SKETCHES, &|r| {
+                r.put_len(3);
+                for id in [1u64, 4, 99] {
+                    r.put_u64(id);
+                }
+            }),
+            request(OP_BAND_PARTIAL, &|r| cfg.encode_into(r)),
+            request(OP_ENABLE_LIVE, &|r| cfg.encode_into(r)),
+            request(OP_LIVE_PARTIAL, &|_| {}),
+            request(OP_LIVE_SIGNATURE, &|r| r.put_u64(1)),
+            candidates,
+            request(OP_SHUTDOWN, &|_| {}),
+        ];
+
+        for frame in &frames {
+            let truncations = (0..frame.len()).map(|n| frame[..n].to_vec());
+            let flips = (0..frame.len() * 8).map(|bit| {
+                let mut v = frame.clone();
+                v[bit / 8] ^= 1 << (bit % 8);
+                v
+            });
+            for variant in truncations.chain(flips) {
+                let resp = roundtrip(&mut sock, &variant);
+                assert!(
+                    matches!(
+                        resp.first(),
+                        Some(&(STATUS_OK | STATUS_ERR | STATUS_NOT_APPLICABLE))
+                    ),
+                    "request {variant:?} got reply {resp:?}"
+                );
+                if variant.first() == Some(&OP_SHUTDOWN) {
+                    handle.join().expect("serve thread").expect("serve result");
+                    (sock, handle) = open_session(&cfg);
+                } else {
+                    let resp = roundtrip(&mut sock, &[OP_LEN]);
+                    assert_eq!(resp.first(), Some(&STATUS_OK), "after {variant:?}");
+                }
+            }
+        }
+        assert_eq!(roundtrip(&mut sock, frames.last().unwrap()), [STATUS_OK]);
+        handle.join().expect("serve thread").expect("serve result");
+    }
+
+    /// A length prefix above `MAX_FRAME`, before the hello or inside a
+    /// session, ends the session with `InvalidData` before anything is
+    /// sized by it.
+    #[test]
+    fn serve_ends_the_session_on_an_oversized_length_prefix() {
+        for len in [MAX_FRAME + 1, u32::MAX] {
+            for handshake in [false, true] {
+                let (mut sock, handle) = if handshake {
+                    open_session(&BandConfig::new(4, 2, 11))
+                } else {
+                    spawn_server()
+                };
+                sock.write_all(&len.to_le_bytes()).expect("write prefix");
+                let err = handle.join().expect("serve thread").unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len {len}");
+            }
+        }
+    }
+
     #[test]
     fn worker_command_honors_the_env_override() {
         // Can't mutate the environment safely in a threaded test run,

@@ -192,7 +192,9 @@ proptest! {
 
     /// Streamed candidate blocks concatenate to exactly the sorted
     /// `candidate_pairs` output at every block size — the O(block)
-    /// extraction path loses and reorders nothing.
+    /// extraction path loses and reorders nothing — and each block is
+    /// O(block): every block but the last holds at least `block` pairs,
+    /// and none holds `block` plus the longest per-id partner run.
     #[test]
     fn streamed_blocks_concatenate_to_candidate_pairs(
         mutations in proptest::collection::vec(
@@ -208,13 +210,22 @@ proptest! {
             index.insert(id as u64, &exact_sketch(inst, salt));
         }
         let reference = index.candidate_pairs();
+        let max_run = reference.chunk_by(|x, y| x.0 == y.0).map(<[_]>::len).max().unwrap_or(0);
         let mut streamed = Vec::new();
-        let mut empty_blocks = 0usize;
+        let mut sizes = Vec::new();
         index.for_each_candidate_block(block, |b| {
-            empty_blocks += usize::from(b.is_empty());
             streamed.extend_from_slice(b);
+            sizes.push(b.len());
         });
-        prop_assert_eq!(empty_blocks, 0, "empty block emitted");
+        prop_assert!(!sizes.contains(&0), "empty block emitted");
         prop_assert_eq!(streamed, reference);
+        if let Some((_, full)) = sizes.split_last() {
+            prop_assert!(full.iter().all(|&n| n >= block), "short block: {:?}", sizes);
+        }
+        prop_assert!(
+            sizes.iter().all(|&n| n < block + max_run),
+            "oversized block: {:?}",
+            sizes
+        );
     }
 }

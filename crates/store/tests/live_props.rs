@@ -118,7 +118,8 @@ proptest! {
         k in 4usize..24,
     ) {
         let cfg = BandConfig::new(12, 2, band_salt);
-        let store = SketchStore::with_live_index(k, salt, shards, cfg);
+        let mut store = SketchStore::with_shards(k, salt, shards);
+        store.enable_live_index(cfg).unwrap();
         // Checkpoint a handful of prefixes (including the full
         // sequence) — divergence mid-stream must not be masked by
         // later operations papering over it.
