@@ -13,6 +13,10 @@
 //! output directory (`results/` by default; `--out DIR` overrides it —
 //! the CI determinism job uses that to diff runs at different shard and
 //! worker counts).
+//!
+//! The exit status is 1 when any scenario fails to run or fails its
+//! paper-shape checks, once every named scenario has run and written its
+//! output; 2 on a usage error.
 
 use std::path::PathBuf;
 
@@ -103,7 +107,7 @@ fn main() {
         let scenario = registry.get(name).expect("validated above");
         println!("\n=== scenario {name}: {} ===", scenario.description());
         match scenarios::execute(scenario, &runner, &dir) {
-            Ok(_) => {}
+            Ok(run) => failed |= !run.ok,
             Err(e) => {
                 eprintln!("scenario {name} failed: {e}");
                 failed = true;

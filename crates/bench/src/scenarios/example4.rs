@@ -8,153 +8,23 @@
 //! plots. Checks the paper's captions: U\* is v-optimal when v2 = 0; the
 //! L\* estimate is unbounded at v2 = 0.
 //!
-//! Each panel's probe sweep runs as engine batches of fixed-seed jobs
-//! ([`PairJob::with_seed`]) through curve kernels: every (dataset, probe
-//! seed) cell is one job, the kernel holds the prepared MEP and
-//! estimators.
+//! Each panel samples both data vectors at every probe seed and runs the
+//! estimators on the outcome; each batch of probes is evaluated over the
+//! engine's worker pool.
 
 use std::ops::Range;
 
-use monotone_coord::instance::Instance;
 use monotone_core::estimate::{LStar, MonotoneEstimator, RgPlusUStar, UStar, VOptimal};
-use monotone_core::func::{ItemFn, RangePowPlus};
+use monotone_core::func::RangePowPlus;
 use monotone_core::problem::Mep;
-use monotone_core::scheme::{LinearThreshold, TupleScheme};
+use monotone_core::scheme::TupleScheme;
 use monotone_core::Result;
-use monotone_engine::{
-    CsvSpec, Engine, EstimationKernel, FinishOut, KernelScratch, PairJob, Scenario, UnitOut,
-};
+use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
 
 use crate::{fnum, table::Table};
 
 const PANELS: [f64; 3] = [0.5, 1.0, 2.0];
 const DATASETS: [[f64; 2]; 2] = [[0.6, 0.2], [0.6, 0.0]];
-
-/// Estimate-curve kernel: each item is a fully known data vector sampled
-/// at the job's fixed probe seed; columns are the generic L\*, the U\*
-/// closed form, and the v-optimal oracle — exactly the panel curves.
-struct CurveKernel {
-    mep: Mep<RangePowPlus, LinearThreshold>,
-    lstar: LStar,
-    ustar_closed: RgPlusUStar,
-    vopt: VOptimal,
-}
-
-impl CurveKernel {
-    fn new(p: f64) -> Result<CurveKernel> {
-        Ok(CurveKernel {
-            mep: Mep::new(RangePowPlus::new(p), TupleScheme::pps(&[1.0, 1.0])?)?,
-            lstar: LStar::new(),
-            ustar_closed: RgPlusUStar::new(p, 1.0),
-            vopt: VOptimal::with_resolution(1e-8, 3000),
-        })
-    }
-}
-
-impl EstimationKernel for CurveKernel {
-    fn labels(&self) -> Vec<String> {
-        vec![
-            "lstar".to_owned(),
-            "ustar_closed".to_owned(),
-            "voptimal".to_owned(),
-        ]
-    }
-
-    fn truth(&self, weights: &[f64]) -> f64 {
-        self.mep.f().eval(weights)
-    }
-
-    fn evaluate(
-        &self,
-        _key: u64,
-        weights: &[f64],
-        u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        let outcome = self.mep.scheme().sample(weights, u)?;
-        out[0] += self.lstar.estimate(&self.mep, &outcome);
-        out[1] += self.ustar_closed.estimate(&self.mep, &outcome);
-        out[2] += self.vopt.estimate_for_data(&self.mep, weights, u)?;
-        Ok(true)
-    }
-}
-
-/// Agreement-probe kernel: |generic U\* − closed U\*| at the probe seed.
-struct UStarGapKernel {
-    mep: Mep<RangePowPlus, LinearThreshold>,
-    ustar_generic: UStar,
-    ustar_closed: RgPlusUStar,
-}
-
-impl EstimationKernel for UStarGapKernel {
-    fn labels(&self) -> Vec<String> {
-        vec!["ustar_gap".to_owned()]
-    }
-
-    fn truth(&self, weights: &[f64]) -> f64 {
-        self.mep.f().eval(weights)
-    }
-
-    fn evaluate(
-        &self,
-        _key: u64,
-        weights: &[f64],
-        u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        let outcome = self.mep.scheme().sample(weights, u)?;
-        let ug = self.ustar_generic.estimate(&self.mep, &outcome);
-        let uc = self.ustar_closed.estimate(&self.mep, &outcome);
-        out[0] += (ug - uc).abs();
-        Ok(true)
-    }
-}
-
-/// L\*-only probe kernel (the unbounded-growth check pokes seeds below
-/// the v-optimal oracle's grid resolution, so the full curve kernel does
-/// not apply).
-struct LStarProbeKernel {
-    mep: Mep<RangePowPlus, LinearThreshold>,
-    lstar: LStar,
-}
-
-impl EstimationKernel for LStarProbeKernel {
-    fn labels(&self) -> Vec<String> {
-        vec!["lstar".to_owned()]
-    }
-
-    fn truth(&self, weights: &[f64]) -> f64 {
-        self.mep.f().eval(weights)
-    }
-
-    fn evaluate(
-        &self,
-        _key: u64,
-        weights: &[f64],
-        u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        let outcome = self.mep.scheme().sample(weights, u)?;
-        out[0] += self.lstar.estimate(&self.mep, &outcome);
-        Ok(true)
-    }
-}
-
-/// The instance pairs encoding the two panel datasets.
-fn dataset_pairs() -> Vec<(Instance, Instance)> {
-    DATASETS
-        .iter()
-        .map(|v| {
-            (
-                Instance::from_pairs([(0u64, v[0])]),
-                Instance::from_pairs([(0u64, v[1])]),
-            )
-        })
-        .collect()
-}
 
 pub struct Example4;
 
@@ -192,57 +62,57 @@ impl Scenario for Example4 {
     }
 
     fn run_shard(&self, units: Range<usize>, engine: &Engine) -> Result<Vec<UnitOut>> {
-        // Per-shard prepared state: the dataset instance pairs (each
-        // panel's MEP and estimators are prepared once inside its kernels).
-        let datasets = dataset_pairs();
         units
             .map(|panel| {
                 let p = PANELS[panel];
-                let curves = CurveKernel::new(p)?;
+                let mep = Mep::new(RangePowPlus::new(p), TupleScheme::pps(&[1.0, 1.0])?)?;
+                let lstar = LStar::new();
+                let ustar_closed = RgPlusUStar::new(p, 1.0);
+                let vopt = VOptimal::with_resolution(1e-8, 3000);
+                // The panel curves on data `v` at probe seed `u`: generic
+                // L*, the U* closed form, and the v-optimal oracle.
+                let curves = |&(v, u): &([f64; 2], f64)| -> Result<[f64; 3]> {
+                    let outcome = mep.scheme().sample(&v, u)?;
+                    Ok([
+                        lstar.estimate(&mep, &outcome),
+                        ustar_closed.estimate(&mep, &outcome),
+                        vopt.estimate_for_data(&mep, &v, u)?,
+                    ])
+                };
 
-                // The panel sweep: one fixed-seed job per (probe, dataset).
-                let jobs: Vec<PairJob> = (1..=120)
-                    .flat_map(|k| {
-                        let u = k as f64 * 0.005;
-                        datasets
-                            .iter()
-                            .map(move |(a, b)| PairJob::new(a, b, 0).with_seed(u))
-                    })
+                // The panel sweep: one cell per (probe, dataset).
+                let probes: Vec<([f64; 2], f64)> = (1..=120)
+                    .flat_map(|k| DATASETS.map(|v| (v, k as f64 * 0.005)))
                     .collect();
-                let batch = engine.run_kernel(&jobs, &curves)?;
+                let sweep = engine
+                    .map_chunked(&probes, |_, probe| curves(probe))
+                    .into_iter()
+                    .collect::<Result<Vec<_>>>()?;
 
                 // Generic-U* agreement probes at every 10th seed.
-                let gap_kernel = UStarGapKernel {
-                    mep: Mep::new(RangePowPlus::new(p), TupleScheme::pps(&[1.0, 1.0])?)?,
-                    ustar_generic: UStar::with_steps(128),
-                    ustar_closed: RgPlusUStar::new(p, 1.0),
-                };
-                let gap_jobs: Vec<PairJob> = (1..=12)
-                    .flat_map(|k| {
-                        let u = (10 * k) as f64 * 0.005;
-                        datasets
-                            .iter()
-                            .map(move |(a, b)| PairJob::new(a, b, 0).with_seed(u))
-                    })
+                let ustar_generic = UStar::with_steps(128);
+                let gap_probes: Vec<([f64; 2], f64)> = (1..=12)
+                    .flat_map(|k| DATASETS.map(|v| (v, (10 * k) as f64 * 0.005)))
                     .collect();
-                let gaps = engine.run_kernel(&gap_jobs, &gap_kernel)?;
-                let max_generic_gap = gaps
-                    .pairs
-                    .iter()
-                    .map(|pair| pair.estimates[0])
+                let max_generic_gap = engine
+                    .map_chunked(&gap_probes, |_, &(v, u)| -> Result<f64> {
+                        let outcome = mep.scheme().sample(&v, u)?;
+                        let ug = ustar_generic.estimate(&mep, &outcome);
+                        Ok((ug - ustar_closed.estimate(&mep, &outcome)).abs())
+                    })
+                    .into_iter()
+                    .collect::<Result<Vec<_>>>()?
+                    .into_iter()
                     .fold(0.0f64, f64::max);
 
                 let mut out = UnitOut::default();
-                for k in 1..=120usize {
+                for (k, cell) in (1..=120usize).zip(sweep.chunks(DATASETS.len())) {
                     let u = k as f64 * 0.005;
                     let mut cells = vec![format!("{u:.4}")];
                     let mut shown = vec![fnum(u)];
-                    for d in 0..DATASETS.len() {
-                        let est = &batch.pairs[(k - 1) * DATASETS.len() + d].estimates;
-                        cells.push(format!("{}", est[0]));
-                        cells.push(format!("{}", est[1]));
-                        cells.push(format!("{}", est[2]));
-                        shown.extend([fnum(est[0]), fnum(est[1]), fnum(est[2])]);
+                    for est in cell.iter().flatten() {
+                        cells.push(format!("{est}"));
+                        shown.push(fnum(*est));
                     }
                     out.row(panel, cells);
                     if k % 20 == 0 {
@@ -255,33 +125,30 @@ impl Scenario for Example4 {
                 ));
 
                 // Paper captions: at v2 = 0 the U* estimates are v-optimal.
-                let (a0, b0) = &datasets[1];
-                let caption_jobs: Vec<PairJob> = (1..=11)
-                    .map(|k| PairJob::new(a0, b0, 0).with_seed(k as f64 * 0.05))
-                    .collect();
-                let captions = engine.run_kernel(&caption_jobs, &curves)?;
-                let max_gap = captions
-                    .pairs
+                let caption_probes: Vec<([f64; 2], f64)> =
+                    (1..=11).map(|k| (DATASETS[1], k as f64 * 0.05)).collect();
+                let max_gap = engine
+                    .map_chunked(&caption_probes, |_, probe| curves(probe))
+                    .into_iter()
+                    .collect::<Result<Vec<_>>>()?
                     .iter()
-                    .map(|pair| (pair.estimates[1] - pair.estimates[2]).abs())
+                    .map(|est| (est[1] - est[2]).abs())
                     .fold(0.0f64, f64::max);
                 out.note(format!(
                     "  max |U* − v-opt| at v2=0: {} (paper: U* is v-optimal there)",
                     fnum(max_gap)
                 ));
 
-                // L* unbounded at v2 = 0: estimate grows as u → 0.
-                let probe_kernel = LStarProbeKernel {
-                    mep: Mep::new(RangePowPlus::new(p), TupleScheme::pps(&[1.0, 1.0])?)?,
-                    lstar: LStar::new(),
-                };
-                let probe_jobs = [
-                    PairJob::new(a0, b0, 0).with_seed(1e-6),
-                    PairJob::new(a0, b0, 0).with_seed(1e-9),
-                ];
-                let probes = engine.run_kernel(&probe_jobs, &probe_kernel)?;
-                let (e_small, e_tiny) =
-                    (probes.pairs[0].estimates[0], probes.pairs[1].estimates[0]);
+                // L* unbounded at v2 = 0: estimate grows as u → 0. These
+                // seeds lie below the v-optimal oracle's grid resolution,
+                // so only L* is evaluated.
+                let tails = engine
+                    .map_chunked(&[1e-6, 1e-9], |_, &u| {
+                        Ok(lstar.estimate(&mep, &mep.scheme().sample(&DATASETS[1], u)?))
+                    })
+                    .into_iter()
+                    .collect::<Result<Vec<f64>>>()?;
+                let (e_small, e_tiny) = (tails[0], tails[1]);
                 let grows = e_tiny > e_small;
                 out.note(format!(
                     "  L*(u=1e-6)={}, L*(u=1e-9)={} (unbounded growth: {})\n",

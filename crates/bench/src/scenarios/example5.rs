@@ -8,22 +8,18 @@
 //! Theorem 4.3 agreement of the L\*-order estimator with closed-form L\*,
 //! plus the variance-by-order customization table).
 //!
-//! Every per-pair evaluation — lower bounds, order-optimal estimates per
-//! interval, exact moments, the Theorem 4.3 gap — runs as engine batches
-//! through discrete-MEP kernels: each job encodes one data vector, the
-//! item key carries the sampling interval. (The order objects memoize
-//! through `RefCell` and are rebuilt per evaluation — the memo is a pure
-//! cache, so the numbers are unchanged.)
+//! Every table cell — lower bound, order-optimal estimate per interval,
+//! exact moments, Theorem 4.3 gap — is evaluated over the engine's
+//! worker pool. The order objects memoize through a `RefCell`, so each
+//! cell builds its own; the memo is a pure cache and never changes a
+//! number.
 
 use std::ops::Range;
 
-use monotone_coord::instance::Instance;
-use monotone_core::discrete::{DiscreteMep, OrderOptimal};
-use monotone_core::func::{ItemFn, RangePowPlus};
+use monotone_core::discrete::{DiscreteMep, DiscreteOutcome, OrderOptimal};
+use monotone_core::func::RangePowPlus;
 use monotone_core::Result;
-use monotone_engine::{
-    CsvSpec, Engine, EstimationKernel, FinishOut, KernelScratch, PairJob, Scenario, UnitOut,
-};
+use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
 
 use crate::{fnum, table::Table};
 
@@ -82,186 +78,19 @@ fn order_for<'a>(mep: &'a DiscreteMep<RangePowPlus>, idx: usize) -> OrderOptimal
     }
 }
 
-/// The single-item job encoding one discrete data vector: the item key is
-/// the sampling-interval index, the weights are the vector entries.
-fn interval_job(v: &[f64], interval: usize) -> (Instance, Instance) {
-    (
-        Instance::from_pairs([(interval as u64, v[0])]),
-        Instance::from_pairs([(interval as u64, v[1])]),
-    )
-}
-
-/// Runs `kernel` over the cross product (vectors × intervals), vectors
-/// inner — the row layout of the Example 5 tables — and returns the
-/// first-column estimates in job order.
+/// Evaluates `cell` on the outcome of every (interval, vector) pair over
+/// `engine`'s worker pool, vectors inner — the row layout of the
+/// Example 5 tables.
 fn interval_sweep(
     engine: &Engine,
-    kernel: &dyn EstimationKernel,
+    mep: &DiscreteMep<RangePowPlus>,
     vectors: &[Vec<f64>],
-    intervals: usize,
-) -> Result<Vec<f64>> {
-    let pairs: Vec<_> = (0..intervals)
-        .flat_map(|k| vectors.iter().map(move |v| interval_job(v, k)))
+    cell: impl Fn(&DiscreteOutcome) -> f64 + Sync,
+) -> Vec<f64> {
+    let outcomes: Vec<DiscreteOutcome> = (0..mep.interval_count())
+        .flat_map(|k| vectors.iter().map(move |v| mep.outcome_at_interval(v, k)))
         .collect();
-    let jobs: Vec<PairJob> = pairs
-        .iter()
-        .map(|(a, b)| PairJob::new(a, b, 0).with_seed(1.0))
-        .collect();
-    let batch = engine.run_kernel(&jobs, kernel)?;
-    Ok(batch.pairs.iter().map(|p| p.estimates[0]).collect())
-}
-
-/// Lower bound `f̄` at the item's vector and interval (Example 5's first
-/// table).
-struct LowerBoundKernel<'a> {
-    mep: &'a DiscreteMep<RangePowPlus>,
-}
-
-impl EstimationKernel for LowerBoundKernel<'_> {
-    fn labels(&self) -> Vec<String> {
-        vec!["lower_bound".to_owned()]
-    }
-
-    fn truth(&self, weights: &[f64]) -> f64 {
-        self.mep.f().eval(weights)
-    }
-
-    fn evaluate(
-        &self,
-        key: u64,
-        weights: &[f64],
-        _u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        let o = self.mep.outcome_at_interval(weights, key as usize);
-        out[0] += self.mep.lower_bound(&o);
-        Ok(true)
-    }
-}
-
-/// One ≺⁺-optimal order's estimate at the item's vector and interval.
-struct OrderEstimateKernel<'a> {
-    mep: &'a DiscreteMep<RangePowPlus>,
-    order: usize,
-}
-
-impl EstimationKernel for OrderEstimateKernel<'_> {
-    fn labels(&self) -> Vec<String> {
-        vec!["order_estimate".to_owned()]
-    }
-
-    fn truth(&self, weights: &[f64]) -> f64 {
-        self.mep.f().eval(weights)
-    }
-
-    fn evaluate(
-        &self,
-        key: u64,
-        weights: &[f64],
-        _u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        let est = order_for(self.mep, self.order);
-        out[0] += est.estimate(&self.mep.outcome_at_interval(weights, key as usize));
-        Ok(true)
-    }
-}
-
-/// One order's exact moments (expectation and variance) on the item's
-/// vector.
-struct OrderMomentsKernel<'a> {
-    mep: &'a DiscreteMep<RangePowPlus>,
-    order: usize,
-}
-
-impl EstimationKernel for OrderMomentsKernel<'_> {
-    fn labels(&self) -> Vec<String> {
-        vec!["mean".to_owned(), "variance".to_owned()]
-    }
-
-    fn truth(&self, weights: &[f64]) -> f64 {
-        self.mep.f().eval(weights)
-    }
-
-    fn evaluate(
-        &self,
-        _key: u64,
-        weights: &[f64],
-        _u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        let est = order_for(self.mep, self.order);
-        out[0] += est.expected(weights)?;
-        out[1] += est.variance(weights)?;
-        Ok(true)
-    }
-}
-
-/// Theorem 4.3 probe: |order-opt(f ascending) − closed-form L\*| at the
-/// item's vector and interval.
-struct Theorem43Kernel<'a> {
-    mep: &'a DiscreteMep<RangePowPlus>,
-}
-
-impl EstimationKernel for Theorem43Kernel<'_> {
-    fn labels(&self) -> Vec<String> {
-        vec!["lstar_gap".to_owned()]
-    }
-
-    fn truth(&self, weights: &[f64]) -> f64 {
-        self.mep.f().eval(weights)
-    }
-
-    fn evaluate(
-        &self,
-        key: u64,
-        weights: &[f64],
-        _u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        let asc = OrderOptimal::f_ascending(self.mep);
-        let o = self.mep.outcome_at_interval(weights, key as usize);
-        out[0] += (asc.estimate(&o) - self.mep.lstar_estimate(&o)).abs();
-        Ok(true)
-    }
-}
-
-/// Variance of all three orders on the item's vector (the customization
-/// table).
-struct VarianceByOrderKernel<'a> {
-    mep: &'a DiscreteMep<RangePowPlus>,
-}
-
-impl EstimationKernel for VarianceByOrderKernel<'_> {
-    fn labels(&self) -> Vec<String> {
-        vec![
-            "var_lstar_order".to_owned(),
-            "var_ustar_order".to_owned(),
-            "var_custom_order".to_owned(),
-        ]
-    }
-
-    fn truth(&self, weights: &[f64]) -> f64 {
-        self.mep.f().eval(weights)
-    }
-
-    fn evaluate(
-        &self,
-        _key: u64,
-        weights: &[f64],
-        _u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        for (slot, order) in out.iter_mut().zip(0..3) {
-            *slot += order_for(self.mep, order).variance(weights)?;
-        }
-        Ok(true)
-    }
+    engine.map_chunked(&outcomes, |_, outcome| cell(outcome))
 }
 
 pub struct Example5;
@@ -294,8 +123,7 @@ impl Scenario for Example5 {
     }
 
     fn run_shard(&self, units: Range<usize>, engine: &Engine) -> Result<Vec<UnitOut>> {
-        // Per-shard prepared state: the discrete MEP and probe vectors
-        // (shared read-only by every kernel batch).
+        // Per-shard prepared state: the discrete MEP and probe vectors.
         let mep = example5()?;
         let positive = positive_vectors();
         units
@@ -304,17 +132,10 @@ impl Scenario for Example5 {
                 match unit {
                     // Lower-bound table (paper's first Example 5 table).
                     0 => {
-                        let lbs = interval_sweep(
-                            engine,
-                            &LowerBoundKernel { mep: &mep },
-                            &positive,
-                            mep.interval_count(),
-                        )?;
-                        for k in 0..mep.interval_count() {
+                        let lbs = interval_sweep(engine, &mep, &positive, |o| mep.lower_bound(o));
+                        for (k, row) in lbs.chunks(positive.len()).enumerate() {
                             let mut cells = vec![INTERVALS[k].to_owned()];
-                            for j in 0..positive.len() {
-                                cells.push(fnum(lbs[k * positive.len() + j]));
-                            }
+                            cells.extend(row.iter().map(|&lb| fnum(lb)));
                             out.row(0, cells.clone());
                             out.show(SHOW_LOWER, cells);
                         }
@@ -322,84 +143,57 @@ impl Scenario for Example5 {
                     // One ≺⁺-optimal order: estimates per interval + exact moments.
                     1..=3 => {
                         let order = unit - 1;
-                        let ests = interval_sweep(
-                            engine,
-                            &OrderEstimateKernel { mep: &mep, order },
-                            &positive,
-                            mep.interval_count(),
-                        )?;
-                        for k in 0..mep.interval_count() {
+                        let ests = interval_sweep(engine, &mep, &positive, |o| {
+                            order_for(&mep, order).estimate(o)
+                        });
+                        for (k, row) in ests.chunks(positive.len()).enumerate() {
                             let mut cells = vec![INTERVALS[k].to_owned()];
-                            for j in 0..positive.len() {
-                                cells.push(fnum(ests[k * positive.len() + j]));
-                            }
+                            cells.extend(row.iter().map(|&est| fnum(est)));
                             out.row(unit, cells.clone());
                             out.show(SHOW_EST + order, cells);
                         }
-                        let pairs: Vec<_> = positive.iter().map(|v| interval_job(v, 0)).collect();
-                        let jobs: Vec<PairJob> = pairs
-                            .iter()
-                            .map(|(a, b)| PairJob::new(a, b, 0).with_seed(1.0))
-                            .collect();
-                        let moments =
-                            engine.run_kernel(&jobs, &OrderMomentsKernel { mep: &mep, order })?;
-                        for (v, pair) in positive.iter().zip(&moments.pairs) {
+                        let moments = engine
+                            .map_chunked(&positive, |_, v| {
+                                let est = order_for(&mep, order);
+                                Ok((est.expected(v)?, est.variance(v)?))
+                            })
+                            .into_iter()
+                            .collect::<Result<Vec<_>>>()?;
+                        for (v, (mean, variance)) in positive.iter().zip(moments) {
                             let f = (v[0] - v[1]).max(0.0);
                             out.show(
                                 SHOW_MOMENTS + order,
-                                vec![
-                                    format!("{v:?}"),
-                                    fnum(pair.estimates[0]),
-                                    fnum(f),
-                                    fnum(pair.estimates[1]),
-                                ],
+                                vec![format!("{v:?}"), fnum(mean), fnum(f), fnum(variance)],
                             );
                         }
                     }
-                    // Cross-checks: Theorem 4.3 agreement and the
-                    // variance-by-order customization table.
+                    // Cross-checks: Theorem 4.3 agreement over every
+                    // domain vector and the variance-by-order
+                    // customization table.
                     _ => {
-                        // The all-zero vector has no active item to encode
-                        // as a pair job; probe it directly so the Theorem
-                        // 4.3 check still covers every domain vector.
-                        let asc = OrderOptimal::f_ascending(&mep);
-                        let mut max_gap = (0..mep.interval_count())
-                            .map(|k| {
-                                let o = mep.outcome_at_interval(&[0.0, 0.0], k);
-                                (asc.estimate(&o) - mep.lstar_estimate(&o)).abs()
-                            })
-                            .fold(0.0f64, f64::max);
-                        let nonzero: Vec<Vec<f64>> = mep
-                            .vectors()
-                            .iter()
-                            .filter(|v| v.iter().any(|&w| w > 0.0))
-                            .cloned()
-                            .collect();
-                        let gaps = interval_sweep(
-                            engine,
-                            &Theorem43Kernel { mep: &mep },
-                            &nonzero,
-                            mep.interval_count(),
-                        )?;
-                        max_gap = gaps.into_iter().fold(max_gap, f64::max);
+                        let max_gap = interval_sweep(engine, &mep, mep.vectors(), |o| {
+                            let asc = OrderOptimal::f_ascending(&mep);
+                            (asc.estimate(o) - mep.lstar_estimate(o)).abs()
+                        })
+                        .into_iter()
+                        .fold(0.0f64, f64::max);
                         out.note(format!(
                             "max |order-opt(f asc) − L*| over all outcomes: {} (Theorem 4.3)",
                             fnum(max_gap)
                         ));
                         out.metric(f64::from(u8::from(max_gap < 1e-9)));
 
-                        let pairs: Vec<_> = positive.iter().map(|v| interval_job(v, 0)).collect();
-                        let jobs: Vec<PairJob> = pairs
-                            .iter()
-                            .map(|(a, b)| PairJob::new(a, b, 0).with_seed(1.0))
-                            .collect();
-                        let vars =
-                            engine.run_kernel(&jobs, &VarianceByOrderKernel { mep: &mep })?;
-                        for (v, pair) in positive.iter().zip(&vars.pairs) {
+                        let vars = engine
+                            .map_chunked(&positive, |_, v| {
+                                (0..3)
+                                    .map(|order| order_for(&mep, order).variance(v))
+                                    .collect::<Result<Vec<f64>>>()
+                            })
+                            .into_iter()
+                            .collect::<Result<Vec<_>>>()?;
+                        for (v, row) in positive.iter().zip(vars) {
                             let mut cells = vec![format!("{v:?}")];
-                            for &var in &pair.estimates {
-                                cells.push(fnum(var));
-                            }
+                            cells.extend(row.into_iter().map(fnum));
                             out.show(SHOW_VARIANCE, cells);
                         }
                     }

@@ -5,17 +5,19 @@
 //! RG1+ and RG2+ over a grid of data vectors. L\*'s variance is at most
 //! HT's everywhere; at `v2 = 0` HT is not even applicable (reveal
 //! probability 0) while L\* remains unbiased. One sweep unit per
-//! (p, data-vector) cell; each shard runs its vectors as one engine batch
-//! per exponent through the [`VarianceStatsKernel`] oracle kernel.
+//! (p, data-vector) cell; each shard evaluates its cells over the
+//! engine's worker pool.
 
 use std::ops::Range;
 
+use monotone_core::estimate::{DyadicJ, HorvitzThompson};
 use monotone_core::func::RangePowPlus;
+use monotone_core::problem::Mep;
+use monotone_core::scheme::TupleScheme;
 use monotone_core::variance::VarianceCalc;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, PairJob, Scenario, UnitOut};
+use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
 
-use super::kernels::{family_chunks, vector_pair, VarianceStatsKernel};
 use crate::{fnum, table::Table};
 
 const PS: [f64; 2] = [1.0, 2.0];
@@ -53,63 +55,51 @@ impl Scenario for HtDominance {
     }
 
     fn run_shard(&self, units: Range<usize>, engine: &Engine) -> Result<Vec<UnitOut>> {
-        // Per-shard prepared state: the calculator (each exponent's MEP
-        // and baseline estimators are prepared once inside the kernel).
         let calc = VarianceCalc::new(1e-9, 2000);
-        let mut outs = Vec::with_capacity(units.len());
-        // One engine batch per exponent touched by this shard.
-        for (pi, range) in family_chunks(units, VECTORS.len()) {
-            let p = PS[pi];
-            let pairs: Vec<_> = range
-                .clone()
-                .map(|unit| vector_pair(0, VECTORS[unit % VECTORS.len()]))
-                .collect();
-            let jobs: Vec<PairJob> = pairs
-                .iter()
-                .map(|(a, b)| PairJob::new(a, b, 0).with_seed(1.0))
-                .collect();
-            let kernel = VarianceStatsKernel::new(RangePowPlus::new(p), calc)?;
-            let batch = engine.run_kernel(&jobs, &kernel)?;
-            for (i, unit) in range.enumerate() {
-                let v = VECTORS[unit % VECTORS.len()];
-                let est = &batch.pairs[i].estimates;
-                let (var_l, var_h, var_j) = (est[0], est[1], est[2]);
-                let applicable = est[3] > 0.5;
-                // HT's "variance" is meaningless where it is biased; report the
-                // mean-squared error about f(v) instead (same formula).
-                let ok = !applicable || var_l <= var_h + 1e-6;
-                let mut out = UnitOut::default();
-                out.row(
-                    0,
-                    vec![
-                        format!("{p}"),
-                        format!("{};{}", v[0], v[1]),
-                        format!("{var_l}"),
-                        format!("{var_h}"),
-                        format!("{var_j}"),
-                        format!("{applicable}"),
-                    ],
-                );
-                out.show(
-                    pi,
-                    vec![
-                        format!("({}, {})", v[0], v[1]),
-                        fnum(var_l),
-                        if applicable {
-                            fnum(var_h)
-                        } else {
-                            format!("{} (biased)", fnum(var_h))
-                        },
-                        fnum(var_j),
-                        if applicable { "yes" } else { "no" }.into(),
-                        if ok { "yes" } else { "NO" }.into(),
-                    ],
-                );
-                out.metric(f64::from(u8::from(ok)));
-                outs.push(out);
-            }
-        }
-        Ok(outs)
+        let units: Vec<usize> = units.collect();
+        let outs = engine.map_chunked(&units, |_, &unit| -> Result<UnitOut> {
+            let pi = unit / VECTORS.len();
+            let (p, v) = (PS[pi], VECTORS[unit % VECTORS.len()]);
+            let mep = Mep::new(RangePowPlus::new(p), TupleScheme::pps(&[1.0, 1.0])?)?;
+            let ht = HorvitzThompson::new();
+            let var_l = calc.lstar_stats(&mep, &v)?.variance;
+            let var_h = calc.stats(&mep, &ht, &v)?.variance;
+            let var_j = calc.stats(&mep, &DyadicJ::new(), &v)?.variance;
+            let applicable = ht.is_applicable(&mep, &v)?;
+            // HT's "variance" is meaningless where it is biased; report the
+            // mean-squared error about f(v) instead (same formula).
+            let ok = !applicable || var_l <= var_h + 1e-6;
+            let mut out = UnitOut::default();
+            out.row(
+                0,
+                vec![
+                    format!("{p}"),
+                    format!("{};{}", v[0], v[1]),
+                    format!("{var_l}"),
+                    format!("{var_h}"),
+                    format!("{var_j}"),
+                    format!("{applicable}"),
+                ],
+            );
+            out.show(
+                pi,
+                vec![
+                    format!("({}, {})", v[0], v[1]),
+                    fnum(var_l),
+                    if applicable {
+                        fnum(var_h)
+                    } else {
+                        format!("{} (biased)", fnum(var_h))
+                    },
+                    fnum(var_j),
+                    if applicable { "yes" } else { "no" }.into(),
+                    if ok { "yes" } else { "NO" }.into(),
+                ],
+            );
+            out.metric(f64::from(u8::from(ok)));
+            Ok(out)
+        });
+        outs.into_iter().collect()
     }
 
     fn finish(&self, outs: &[UnitOut]) -> FinishOut {

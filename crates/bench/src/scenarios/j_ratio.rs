@@ -4,47 +4,32 @@
 //! paper) but is neither admissible nor monotone; Theorem 4.1's bound of 4
 //! for L\* is the improvement. We measure the per-data ratio
 //! `E[f̂²]/E[(f̂⁽ᵛ⁾)²]` of both estimators across the RGp+ family and the
-//! tight scalar family. One sweep unit per (problem, data) cell; the RGp+
-//! cells run as one engine batch per exponent through the
-//! [`JVsLStarRatioKernel`] oracle kernel (the scalar family is an
-//! arity-1 problem outside the pair engine and stays per-call).
+//! tight scalar family. One sweep unit per (problem, data) cell; each
+//! shard evaluates its cells over the engine's worker pool.
 
 use std::ops::Range;
 
 use monotone_core::estimate::DyadicJ;
-use monotone_core::func::{PowerGapFamily, RangePowPlus};
+use monotone_core::func::{ItemFn, PowerGapFamily, RangePowPlus};
 use monotone_core::problem::Mep;
 use monotone_core::scheme::TupleScheme;
 use monotone_core::variance::VarianceCalc;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, PairJob, Scenario, UnitOut};
+use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
 
-use super::kernels::{family_chunks, vector_pair, JVsLStarRatioKernel};
 use crate::{fnum, table::Table};
 
 const RG_PS: [f64; 3] = [0.5, 1.0, 2.0];
 const RG_VECTORS: [[f64; 2]; 4] = [[0.9, 0.0], [0.9, 0.45], [0.9, 0.8], [0.3, 0.1]];
 const POWER_PS: [f64; 3] = [0.0, 0.2, 0.35];
 
-/// Renders one cell's pair of ratios into its CSV row, table row, and
-/// metrics (shared by the engine-batched RGp+ cells and the per-call
-/// scalar cells).
-#[allow(clippy::too_many_arguments)]
-fn emit_cell(
-    out: &mut UnitOut,
-    problem_csv: String,
-    problem_show: String,
-    data_csv: String,
-    data_show: String,
-    rj: f64,
-    rl: f64,
-) {
-    out.row(
-        0,
-        vec![problem_csv, data_csv, format!("{rj}"), format!("{rl}")],
-    );
-    out.show(0, vec![problem_show, data_show, fnum(rj), fnum(rl)]);
-    out.metric(rj).metric(rl);
+/// The dyadic-J and L\* competitive ratios of `f` on `v` under PPS(1) in
+/// every entry, NaN where the optimum is numerically zero.
+fn ratios<F: ItemFn>(f: F, v: &[f64], calc: &VarianceCalc) -> Result<(f64, f64)> {
+    let mep = Mep::new(f, TupleScheme::pps(&vec![1.0; v.len()])?)?;
+    let rj = calc.competitive_ratio(&mep, &DyadicJ::new(), v)?;
+    let rl = calc.lstar_competitive_ratio(&mep, v)?;
+    Ok((rj.unwrap_or(f64::NAN), rl.unwrap_or(f64::NAN)))
 }
 
 pub struct JRatio;
@@ -70,66 +55,38 @@ impl Scenario for JRatio {
     }
 
     fn run_shard(&self, units: Range<usize>, engine: &Engine) -> Result<Vec<UnitOut>> {
-        // Per-shard prepared state: calculator and the J estimator (the
-        // RGp+ MEPs are prepared once per exponent inside the kernel).
         let calc = VarianceCalc::new(1e-10, 3000);
-        let j = DyadicJ::new();
         let rg_cells = RG_PS.len() * RG_VECTORS.len();
-        let mut outs = Vec::with_capacity(units.len());
-        // RGp+ prefix: one engine batch per exponent touched by this shard.
-        let rg_units = units.start..units.end.min(rg_cells);
-        for (pi, range) in family_chunks(rg_units, RG_VECTORS.len()) {
-            let p = RG_PS[pi];
-            let pairs: Vec<_> = range
-                .clone()
-                .map(|unit| vector_pair(0, RG_VECTORS[unit % RG_VECTORS.len()]))
-                .collect();
-            let jobs: Vec<PairJob> = pairs
-                .iter()
-                .map(|(a, b)| PairJob::new(a, b, 0).with_seed(1.0))
-                .collect();
-            let kernel = JVsLStarRatioKernel::new(RangePowPlus::new(p), calc)?;
-            let batch = engine.run_kernel(&jobs, &kernel)?;
-            for (i, unit) in range.enumerate() {
+        let units: Vec<usize> = units.collect();
+        let outs = engine.map_chunked(&units, |_, &unit| -> Result<UnitOut> {
+            let (problem, problem_shown, data, data_shown, (rj, rl)) = if unit < rg_cells {
+                let p = RG_PS[unit / RG_VECTORS.len()];
                 let v = RG_VECTORS[unit % RG_VECTORS.len()];
-                let est = &batch.pairs[i].estimates;
-                let mut out = UnitOut::default();
-                emit_cell(
-                    &mut out,
+                (
                     format!("RG{p}+"),
                     format!("RG{p}+"),
                     format!("{};{}", v[0], v[1]),
                     format!("({}, {})", v[0], v[1]),
-                    est[0],
-                    est[1],
-                );
-                outs.push(out);
-            }
-        }
-        // Scalar tight-family suffix: arity 1, outside the pair engine.
-        for unit in units.start.max(rg_cells)..units.end {
-            let p = POWER_PS[unit - rg_cells];
-            let fam = PowerGapFamily::new(p);
-            let mep = Mep::new(fam, TupleScheme::pps(&[1.0])?)?;
-            let rj = calc
-                .competitive_ratio(&mep, &j, &[0.0])?
-                .unwrap_or(f64::NAN);
-            let rl = calc
-                .lstar_competitive_ratio(&mep, &[0.0])?
-                .unwrap_or(f64::NAN);
+                    ratios(RangePowPlus::new(p), &v, &calc)?,
+                )
+            } else {
+                // The tight scalar family: an arity-1 problem at v = 0.
+                let p = POWER_PS[unit - rg_cells];
+                (
+                    format!("power{p}"),
+                    format!("power p={p}"),
+                    "0".to_owned(),
+                    "0".to_owned(),
+                    ratios(PowerGapFamily::new(p), &[0.0], &calc)?,
+                )
+            };
             let mut out = UnitOut::default();
-            emit_cell(
-                &mut out,
-                format!("power{p}"),
-                format!("power p={p}"),
-                "0".into(),
-                "0".into(),
-                rj,
-                rl,
-            );
-            outs.push(out);
-        }
-        Ok(outs)
+            out.row(0, vec![problem, data, format!("{rj}"), format!("{rl}")]);
+            out.show(0, vec![problem_shown, data_shown, fnum(rj), fnum(rl)]);
+            out.metric(rj).metric(rl);
+            Ok(out)
+        });
+        outs.into_iter().collect()
     }
 
     fn finish(&self, outs: &[UnitOut]) -> FinishOut {

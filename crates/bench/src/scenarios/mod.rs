@@ -22,7 +22,6 @@ mod example4;
 mod example5;
 mod ht_dominance;
 mod j_ratio;
-pub mod kernels;
 mod lp_difference;
 mod lsh;
 mod multiway;

@@ -4,44 +4,35 @@
 //! Sweeps `v = (1, v2)` for `v2/v1 ∈ [0, 1)` under PPS(1) and reports the
 //! per-data ratio `E[(f̂ᴸ)²]/E[(f̂⁽ᵛ⁾)²]` and its supremum, for both `RGp+`
 //! and the symmetric `RGp`, p ∈ {1, 2}. One sweep unit per (function,
-//! grid-point) cell — 80 cells the runner shards freely; each shard runs
-//! its grid points as one engine batch per function through the
-//! [`LStarRatioKernel`] oracle kernel.
+//! grid-point) cell — 80 cells the runner shards freely; each shard
+//! evaluates its cells over the engine's worker pool.
 
 use std::ops::Range;
 
 use monotone_core::func::{RangePow, RangePowPlus};
+use monotone_core::problem::Mep;
+use monotone_core::scheme::TupleScheme;
 use monotone_core::variance::VarianceCalc;
 use monotone_core::Result;
-use monotone_engine::{BatchResult, CsvSpec, Engine, FinishOut, PairJob, Scenario, UnitOut};
+use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
 
-use super::kernels::{family_chunks, vector_pair, LStarRatioKernel};
 use crate::{fnum, table::Table};
 
 const FUNCS: [&str; 4] = ["RG1+", "RG2+", "RG1", "RG2"];
 const PAPER: [&str; 4] = ["2", "2.5", "2", "2.5"];
 const POINTS: usize = 20;
 
-/// Runs one function's contiguous grid points `units` as a single engine
-/// batch through the ratio oracle kernel.
-fn ratio_batch(units: Range<usize>, engine: &Engine, calc: VarianceCalc) -> Result<BatchResult> {
-    let pairs: Vec<_> = units
-        .clone()
-        .map(|unit| {
-            let v2 = (unit % POINTS) as f64 / POINTS as f64;
-            vector_pair(0, [1.0, v2])
-        })
-        .collect();
-    let jobs: Vec<PairJob> = pairs
-        .iter()
-        .map(|(a, b)| PairJob::new(a, b, 0).with_seed(1.0))
-        .collect();
-    match units.start / POINTS {
-        0 => engine.run_kernel(&jobs, &LStarRatioKernel::new(RangePowPlus::new(1.0), calc)?),
-        1 => engine.run_kernel(&jobs, &LStarRatioKernel::new(RangePowPlus::new(2.0), calc)?),
-        2 => engine.run_kernel(&jobs, &LStarRatioKernel::new(RangePow::new(1.0, 2), calc)?),
-        _ => engine.run_kernel(&jobs, &LStarRatioKernel::new(RangePow::new(2.0, 2), calc)?),
-    }
+/// The L\* competitive ratio of function `func` on `v` under common-scale
+/// PPS(1), NaN when the optimum is numerically zero.
+fn lstar_ratio(func: usize, v: [f64; 2], calc: &VarianceCalc) -> Result<f64> {
+    let pps = TupleScheme::pps(&[1.0, 1.0])?;
+    let ratio = match func {
+        0 => calc.lstar_competitive_ratio(&Mep::new(RangePowPlus::new(1.0), pps)?, &v)?,
+        1 => calc.lstar_competitive_ratio(&Mep::new(RangePowPlus::new(2.0), pps)?, &v)?,
+        2 => calc.lstar_competitive_ratio(&Mep::new(RangePow::new(1.0, 2), pps)?, &v)?,
+        _ => calc.lstar_competitive_ratio(&Mep::new(RangePow::new(2.0, 2), pps)?, &v)?,
+    };
+    Ok(ratio.unwrap_or(f64::NAN))
 }
 
 pub struct RgRatios;
@@ -67,27 +58,21 @@ impl Scenario for RgRatios {
     }
 
     fn run_shard(&self, units: Range<usize>, engine: &Engine) -> Result<Vec<UnitOut>> {
-        // Per-shard prepared state: the variance calculator (each
-        // function's MEP is prepared once inside its oracle kernel).
         let calc = VarianceCalc::new(1e-10, 3000);
-        let mut outs = Vec::with_capacity(units.len());
-        // One engine batch per function family touched by this shard.
-        for (func, range) in family_chunks(units, POINTS) {
-            let batch = ratio_batch(range.clone(), engine, calc)?;
-            for (i, unit) in range.enumerate() {
-                let v2 = (unit % POINTS) as f64 / POINTS as f64;
-                let ratio = batch.pairs[i].estimates[0];
-                let mut out = UnitOut::default();
-                out.row(
-                    0,
-                    vec![FUNCS[func].to_owned(), format!("{v2}"), format!("{ratio}")],
-                );
-                out.show(func, vec![format!("{v2:.2}"), fnum(ratio)]);
-                out.metric(ratio);
-                outs.push(out);
-            }
-        }
-        Ok(outs)
+        let units: Vec<usize> = units.collect();
+        let outs = engine.map_chunked(&units, |_, &unit| -> Result<UnitOut> {
+            let (func, v2) = (unit / POINTS, (unit % POINTS) as f64 / POINTS as f64);
+            let ratio = lstar_ratio(func, [1.0, v2], &calc)?;
+            let mut out = UnitOut::default();
+            out.row(
+                0,
+                vec![FUNCS[func].to_owned(), format!("{v2}"), format!("{ratio}")],
+            );
+            out.show(func, vec![format!("{v2:.2}"), fnum(ratio)]);
+            out.metric(ratio);
+            Ok(out)
+        });
+        outs.into_iter().collect()
     }
 
     fn finish(&self, outs: &[UnitOut]) -> FinishOut {

@@ -7,20 +7,15 @@
 //! HIP thresholds, and reports the error against exact Dijkstra truth as
 //! the sketch parameter k grows. One sweep unit per (graph, k) cell; the
 //! graphs and exact truths are scenario state prepared once. Within a
-//! unit, every (randomization, node-pair) similarity estimate is one
-//! engine job: a payload kernel holds the per-salt sketch estimators and
-//! decodes `(salt, pair)` from the item key, so the per-pair estimation
-//! runs over the engine pool instead of a hand-rolled loop.
+//! unit, the (randomization, node-pair) similarity estimates are
+//! evaluated over the engine's worker pool.
 
 use std::ops::Range;
 
-use monotone_coord::instance::Instance;
 use monotone_coord::seed::SeedHasher;
 use monotone_core::Result;
 use monotone_datagen::graphs::{grid, preferential_attachment};
-use monotone_engine::{
-    CsvSpec, Engine, EstimationKernel, FinishOut, KernelScratch, PairJob, Scenario, UnitOut,
-};
+use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
 use monotone_sketches::ads::{build_all_ads, Ads};
 use monotone_sketches::closeness::{exact_closeness, ClosenessEstimator};
 use monotone_sketches::graph::Graph;
@@ -44,47 +39,6 @@ struct GraphCase {
     graph: Graph,
     pairs: Vec<(u32, u32)>,
     truths: Vec<f64>,
-}
-
-/// Payload kernel: one similarity estimate per job. The item key encodes
-/// `(randomization, node-pair index)`; the kernel holds one
-/// [`ClosenessEstimator`] per randomization over the unit's sketch sets
-/// and emits the estimated similarity — the scenario differences it
-/// against the exact truth.
-struct ClosenessKernel<'a> {
-    ests: Vec<ClosenessEstimator<'a, fn(f64) -> f64>>,
-    pairs: &'a [(u32, u32)],
-}
-
-/// Encodes a (salt, node-pair index) job payload as an item key.
-fn payload_key(salt: u64, pair_index: usize) -> u64 {
-    (salt << 32) | pair_index as u64
-}
-
-impl EstimationKernel for ClosenessKernel<'_> {
-    fn labels(&self) -> Vec<String> {
-        vec!["similarity".to_owned()]
-    }
-
-    fn truth(&self, _weights: &[f64]) -> f64 {
-        // The payload weights carry no data; exact truths live with the
-        // scenario's graph cases.
-        0.0
-    }
-
-    fn evaluate(
-        &self,
-        key: u64,
-        _weights: &[f64],
-        _u: f64,
-        _scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> Result<bool> {
-        let (salt, pair) = ((key >> 32) as usize, (key & 0xffff_ffff) as usize);
-        let (a, b) = self.pairs[pair];
-        out[0] += self.ests[salt].estimate(a, b)?;
-        Ok(true)
-    }
 }
 
 /// Scenario state built lazily on first use (registry construction and
@@ -177,35 +131,22 @@ impl Scenario for Similarity {
                     })
                     .collect();
 
-                // Estimation goes through the engine: one job per
-                // (randomization, node pair), payload-encoded keys.
-                let kernel = ClosenessKernel {
-                    ests: sketch_sets
-                        .iter()
-                        .map(|sketches| {
-                            ClosenessEstimator::new(sketches, k, alpha as fn(f64) -> f64)
-                        })
-                        .collect(),
-                    pairs: &case.pairs,
-                };
-                let payloads: Vec<Instance> = (0..SALTS)
-                    .flat_map(|salt| {
-                        (0..case.pairs.len())
-                            .map(move |pi| Instance::from_pairs([(payload_key(salt, pi), 1.0)]))
+                // One estimator per randomization; every (randomization,
+                // node pair) estimate is differenced against the truth.
+                let ests: Vec<_> = sketch_sets
+                    .iter()
+                    .map(|sketches| ClosenessEstimator::new(sketches, k, alpha as fn(f64) -> f64))
+                    .collect();
+                let cells: Vec<(usize, usize)> = (0..ests.len())
+                    .flat_map(|salt| (0..case.pairs.len()).map(move |pi| (salt, pi)))
+                    .collect();
+                let errs = engine
+                    .map_chunked(&cells, |_, &(salt, pi)| {
+                        let (a, b) = case.pairs[pi];
+                        Ok((ests[salt].estimate(a, b)? - case.truths[pi]).abs())
                     })
-                    .collect();
-                let empty = Instance::new();
-                let jobs: Vec<PairJob> = payloads
-                    .iter()
-                    .map(|a| PairJob::new(a, &empty, 0).with_seed(1.0))
-                    .collect();
-                let batch = engine.run_kernel(&jobs, &kernel)?;
-                let errs: Vec<f64> = batch
-                    .pairs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, pair)| (pair.estimates[0] - case.truths[i % case.pairs.len()]).abs())
-                    .collect();
+                    .into_iter()
+                    .collect::<Result<Vec<f64>>>()?;
 
                 let (e, sz) = (mean(&errs), mean(&sizes));
                 let mut out = UnitOut::default();

@@ -1,8 +1,11 @@
-//! The kernel-ported scenarios must regenerate their committed CSV
-//! artifacts byte-identically: the port from hand-rolled per-pair loops
-//! onto `Engine::run_kernel` changed the execution route, never the
-//! numbers. (The engine-native scenarios are pinned the same way by the
-//! CI determinism job; this test guards the ports at `cargo test` time.)
+//! Scenarios must regenerate their committed CSV artifacts
+//! byte-identically and pass their paper-shape checks
+//! (`ScenarioRun::ok`): a change to how a scenario computes its cells may
+//! change the route, never the numbers. The checks cover claims no CSV
+//! holds, such as L\*'s growth at v2 = 0 (`example4`), Theorem 4.3
+//! (`example5`) and L\* ≤ HT (`ht_dominance`). CI's scenario suite pins
+//! every CSV in release builds; this test guards the scenarios listed
+//! here at `cargo test` time.
 
 use std::path::PathBuf;
 
@@ -41,6 +44,7 @@ fn assert_regenerates(name: &str) {
         .with_shards(3)
         .run(scenario)
         .unwrap_or_else(|e| panic!("{name} failed: {e}"));
+    assert!(run.ok, "{name}: paper-shape checks failed");
     for artifact in &run.artifacts {
         let path = results_dir().join(&artifact.spec.file);
         let committed = std::fs::read_to_string(&path)

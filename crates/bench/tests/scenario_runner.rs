@@ -217,10 +217,12 @@ fn readme_table_and_ci_scenario_lists_match_the_registry() {
     );
 }
 
-/// The two group-job scenarios must emit byte-identical CSV rows at every
-/// shard × worker geometry — the `GroupJob` determinism contract, pinned
-/// over the full 1/2/4 × 1/2/4 grid.
-fn assert_group_scenario_deterministic(name: &str) {
+/// A scenario must emit byte-identical CSV rows and report lines, and
+/// pass its paper-shape checks, at every shard × worker geometry of the
+/// full 1/2/4 × 1/2/4 grid. The group-job scenarios pin the `GroupJob`
+/// determinism contract; the known-data sweeps pin their worker-pool
+/// evaluation, whose report lines carry checks no CSV holds.
+fn assert_scenario_deterministic(name: &str) {
     let registry = scenarios::registry();
     let scenario = registry.get(name).expect("registered");
     let reference = Runner::new(Engine::with_threads(1))
@@ -239,18 +241,39 @@ fn assert_group_scenario_deterministic(name: &str) {
                 "{name}: CSV rows differ at {shards} shards / {workers} workers"
             );
             assert_eq!(run.lines, reference.lines);
+            assert!(run.ok, "{name} checks failed at {shards}/{workers}");
         }
     }
 }
 
 #[test]
 fn multiway_group_jobs_deterministic_across_shards_and_workers() {
-    assert_group_scenario_deterministic("multiway");
+    assert_scenario_deterministic("multiway");
 }
 
 #[test]
 fn lsh_group_jobs_deterministic_across_shards_and_workers() {
-    assert_group_scenario_deterministic("lsh");
+    assert_scenario_deterministic("lsh");
+}
+
+#[test]
+fn example5_deterministic_across_shards_and_workers() {
+    assert_scenario_deterministic("example5");
+}
+
+#[test]
+fn rg_ratios_deterministic_across_shards_and_workers() {
+    assert_scenario_deterministic("rg_ratios");
+}
+
+#[test]
+fn ht_dominance_deterministic_across_shards_and_workers() {
+    assert_scenario_deterministic("ht_dominance");
+}
+
+#[test]
+fn j_ratio_deterministic_across_shards_and_workers() {
+    assert_scenario_deterministic("j_ratio");
 }
 
 #[test]

@@ -23,8 +23,9 @@
 //!   builder does not know about;
 //! * **custom [`EstimationKernel`] impls** interpret the per-item
 //!   `(key, weights, seed)` stream however they like — the scenario
-//!   registry uses this for variance sweeps, estimate curves at probe
-//!   seeds, sample-overlap counting, and sketch-pair workloads.
+//!   registry uses one to count sample overlaps over a group's item
+//!   union. A computation over known data vectors needs no kernel: it
+//!   runs directly over [`Engine::map_chunked`](crate::Engine::map_chunked).
 //!
 //! Closed forms are not special-cased in the engine: each function family
 //! *registers* the fast paths it has for a given scheme via
@@ -38,9 +39,9 @@
 //!
 //! # Examples
 //!
-//! A custom kernel that treats each item's weights as a full data vector
-//! and "estimates" with the exact value — the oracle pattern the variance
-//! and ratio scenarios build on:
+//! A minimal custom kernel: it "estimates" each item's `RG1+`
+//! contribution with the exact value, so every job's estimate equals its
+//! truth:
 //!
 //! ```
 //! use monotone_coord::instance::Instance;
@@ -223,9 +224,8 @@ impl KernelScratch {
 /// active item with the item's weights in every instance. How the
 /// `(key, weights, seed)` tuple is interpreted is the kernel's business:
 /// the built-in [`FuncKernel`] treats the weights as a sampled data
-/// tuple, while oracle kernels (variance, ratio, curve scenarios) treat
-/// them as fully known data and ignore the seed, and payload kernels
-/// index kernel-held state by `key`.
+/// tuple, while a counting kernel may re-derive sample membership per
+/// randomization from `key` and ignore the shared seed.
 ///
 /// # Contract
 ///
@@ -245,8 +245,7 @@ pub trait EstimationKernel: Sync {
     /// The group arity this kernel requires, when it requires one: the
     /// engine rejects jobs whose instance count differs (as
     /// [`Error::ArityMismatch`]) instead of streaming truncated weight
-    /// tuples. The default, `None`, accepts any arity — payload and
-    /// oracle kernels often ignore the weights entirely.
+    /// tuples. The default, `None`, accepts any arity.
     fn arity(&self) -> Option<usize> {
         None
     }
@@ -654,11 +653,6 @@ impl<F: ItemFn + Sync> FuncKernel<F> {
     {
         let closed = f.closed_forms(scales);
         FuncKernel::new(f, scales, kinds, quad, closed)
-    }
-
-    /// The estimator kinds, in result order.
-    pub fn kinds(&self) -> &[EstimatorKind] {
-        &self.kinds
     }
 
     /// Which slots resolved to a registered closed form.

@@ -24,9 +24,8 @@
 //!   it into an [`EstimationKernel`]: prepare-once state, per-item
 //!   `evaluate` over the item's weights in every instance of the group,
 //!   with reusable scratch. Custom kernels plug straight into
-//!   [`Engine::run_kernel`] — the scenario registry runs variance sweeps,
-//!   probe-seed estimate curves, sample-overlap counting, and sketch-pair
-//!   similarity through the same batch loop;
+//!   [`Engine::run_kernel`] — the scenario registry counts sample
+//!   overlaps over a group's item union through the same batch loop;
 //! * **closed-form registration** — function families register their
 //!   closed forms per scheme ([`KernelFunc`]); `RGp+` under a common
 //!   scale dispatches to [`RgPlusLStar`] (`p ∈ {1, 2}`) and
@@ -288,11 +287,6 @@ impl EngineQuery {
         self
     }
 
-    /// The per-instance PPS scales (one per instance of the job group).
-    pub fn scales(&self) -> &[f64] {
-        &self.scales
-    }
-
     /// The group arity this query's function family expects.
     pub fn arity(&self) -> usize {
         self.func.arity()
@@ -301,11 +295,6 @@ impl EngineQuery {
     /// The estimators run per job, in result order.
     pub fn estimators(&self) -> &[EstimatorKind] {
         &self.estimators
-    }
-
-    /// The quadrature configuration for generic fallbacks.
-    pub fn quad(&self) -> &QuadConfig {
-        &self.quad
     }
 
     /// Compiles the query into its prepared kernel: function family plus
@@ -623,10 +612,9 @@ impl Engine {
     }
 
     /// Runs a batch through an explicit [`EstimationKernel`] — the entry
-    /// point for custom kernels (oracle sweeps, probe curves, payload
-    /// kernels); [`Engine::run`] is this with the query's own kernel. The
-    /// kernel's `evaluate` receives each item's weights in every instance
-    /// of the job's group.
+    /// point for custom kernels; [`Engine::run`] is this with the query's
+    /// own kernel. The kernel's `evaluate` receives each item's weights in
+    /// every instance of the job's group.
     ///
     /// A [`SourceJob`]'s reported `truth` is the exact aggregate **over
     /// the stream**: for exact sources that is the true value; for

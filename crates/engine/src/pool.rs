@@ -44,7 +44,8 @@ impl Engine {
     ///
     /// This is the engine's generic parallel driver; [`Engine::run`] is
     /// built on it, and experiment binaries use it directly for workloads
-    /// that are not instance pairs (e.g. sketch-based similarity sweeps).
+    /// that are not instance pairs (e.g. sweeps over known data vectors
+    /// and sketch-based similarity).
     pub fn map_chunked<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,

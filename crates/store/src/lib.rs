@@ -241,21 +241,11 @@ impl SketchStore {
         Ok(())
     }
 
-    /// Retained entries per instance.
-    pub fn k(&self) -> usize {
-        self.sampler.k()
-    }
-
     /// The shared seed-hash salt every sketch samples under. Queries
     /// compiled against this store must run under the same salt —
     /// [`SketchStore::query_group`] does so automatically.
     pub fn salt(&self) -> u64 {
         self.sampler.seeder().salt()
-    }
-
-    /// Number of shard backends.
-    pub fn shard_count(&self) -> usize {
-        self.backends.len()
     }
 
     /// Number of resident instances, summed across shards.
@@ -368,7 +358,7 @@ impl SketchStore {
 
     /// Fetches the current samples of the (deduplicated) `ids`, batched
     /// one call per owning backend — the fetch plan under
-    /// [`SketchStore::query_group`] and [`SketchStore::query_groups`].
+    /// [`SketchStore::query_group`].
     fn fetch_sketches(&self, ids: &[u64]) -> Result<HashMap<u64, BottomKSample>> {
         let mut per_backend: Vec<Vec<u64>> = vec![Vec::new(); self.backends.len()];
         for &id in ids {
@@ -389,35 +379,6 @@ impl SketchStore {
             }
         }
         Ok(out)
-    }
-
-    /// Compiles and runs `query` over one group whose sketches are
-    /// already fetched.
-    fn run_group(
-        &self,
-        engine: &Engine,
-        query: &EngineQuery,
-        group: &[u64],
-        fetched: &HashMap<u64, BottomKSample>,
-    ) -> Result<GroupEstimate> {
-        let sketches: Vec<BottomKSample> = group
-            .iter()
-            .map(|id| fetched.get(id).cloned().expect("group ids were fetched"))
-            .collect();
-        let union = SketchUnion::new(&sketches);
-        let scales = union
-            .conditioned_scales()
-            .expect("priority sketches always carry conditioned scales")
-            .to_vec();
-        let compiled = query.clone().with_instance_scales(&scales);
-        let job = SourceJob::new(union, self.salt());
-        let batch = engine.run(&[job], &compiled)?;
-        let pair = batch.pairs.into_iter().next().expect("one job in, one out");
-        Ok(GroupEstimate {
-            estimates: pair.estimates,
-            retained_truth: pair.truth,
-            sampled_items: pair.sampled_items,
-        })
     }
 
     fn check_arity(&self, query: &EngineQuery, group: &[u64]) -> Result<()> {
@@ -461,42 +422,24 @@ impl SketchStore {
         ids.sort_unstable();
         ids.dedup();
         let fetched = self.fetch_sketches(&ids)?;
-        self.run_group(engine, query, group, &fetched)
-    }
-
-    /// [`query_group`](SketchStore::query_group) over many groups, in
-    /// order, with a **batched fetch plan**: every sketch the batch
-    /// needs is fetched exactly once, one [`ShardBackend::sketches`]
-    /// call per owning shard — against process shards, a whole batch
-    /// costs `O(shards)` round trips instead of one per group. Each
-    /// group then compiles its own conditioned-scale kernel (the scales
-    /// are per-sketch state), so answers are identical to calling
-    /// [`query_group`](SketchStore::query_group) per group.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SketchArityMismatch`] if any group's size differs from
-    /// the query's arity and [`Error::UnknownInstance`] for an id never
-    /// ingested — both checked for the whole batch up front, before any
-    /// group is answered. [`Error::ShardUnavailable`] when a backend
-    /// cannot serve; engine errors propagate per group.
-    pub fn query_groups(
-        &self,
-        engine: &Engine,
-        query: &EngineQuery,
-        groups: &[Vec<u64>],
-    ) -> Result<Vec<GroupEstimate>> {
-        for group in groups {
-            self.check_arity(query, group)?;
-        }
-        let mut ids: Vec<u64> = groups.iter().flatten().copied().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let fetched = self.fetch_sketches(&ids)?;
-        groups
+        let sketches: Vec<BottomKSample> = group
             .iter()
-            .map(|group| self.run_group(engine, query, group, &fetched))
-            .collect()
+            .map(|id| fetched.get(id).cloned().expect("group ids were fetched"))
+            .collect();
+        let union = SketchUnion::new(&sketches);
+        let scales = union
+            .conditioned_scales()
+            .expect("priority sketches always carry conditioned scales")
+            .to_vec();
+        let compiled = query.clone().with_instance_scales(&scales);
+        let job = SourceJob::new(union, self.salt());
+        let batch = engine.run(&[job], &compiled)?;
+        let pair = batch.pairs.into_iter().next().expect("one job in, one out");
+        Ok(GroupEstimate {
+            estimates: pair.estimates,
+            retained_truth: pair.truth,
+            sampled_items: pair.sampled_items,
+        })
     }
 
     /// Builds a [`banding::BandIndex`] over every resident sketch — the
@@ -881,6 +824,8 @@ mod tests {
 
     #[test]
     fn query_groups_answers_in_order() {
+        // Several groups over shared instances, each answered exactly
+        // (k exceeds every instance, so no sketch dropped an item).
         let store = SketchStore::new(128, 4);
         for id in 0..4u64 {
             store
@@ -889,19 +834,22 @@ mod tests {
         }
         let engine = Engine::with_threads(1);
         let query = EngineQuery::distinct_k(2, 1.0);
-        let groups = vec![vec![0, 1], vec![2, 3], vec![0, 3]];
-        let ests = store.query_groups(&engine, &query, &groups).unwrap();
-        assert_eq!(ests.len(), 3);
-        assert_eq!(ests[0].estimates[0], 25.0); // 0..20 ∪ 5..25
-        assert_eq!(ests[1].estimates[0], 25.0); // 10..30 ∪ 15..35
-        assert_eq!(ests[2].estimates[0], 35.0); // 0..20 ∪ 15..35
+        let ests: Vec<f64> = [[0, 1], [2, 3], [0, 3]]
+            .iter()
+            .map(|group| store.query_group(&engine, &query, group).unwrap().estimates[0])
+            .collect();
+        assert_eq!(ests[0], 25.0); // 0..20 ∪ 5..25
+        assert_eq!(ests[1], 25.0); // 10..30 ∪ 15..35
+        assert_eq!(ests[2], 35.0); // 0..20 ∪ 15..35
     }
 
     #[test]
     fn batched_query_groups_equals_per_group_calls() {
-        // The batched fetch plan must be invisible: same answers as
-        // query_group in a loop, including groups sharing instances and
-        // groups repeating an id.
+        // query_group's batched fetch plan (one `sketches` call per
+        // owning shard, a repeated id fetched once) must be invisible:
+        // same answers as the union of per-id `sketch` fetches run
+        // through the engine, including groups sharing instances and a
+        // group repeating an id.
         let store = SketchStore::with_shards(64, 21, 3);
         for id in 0..8u64 {
             store
@@ -910,21 +858,26 @@ mod tests {
         }
         let engine = Engine::with_threads(1);
         let query = EngineQuery::distinct_k(2, 1.0);
-        let groups: Vec<Vec<u64>> = vec![vec![0, 1], vec![1, 2], vec![3, 3], vec![7, 0]];
-        let batched = store.query_groups(&engine, &query, &groups).unwrap();
-        for (group, batched_est) in groups.iter().zip(&batched) {
-            let single = store.query_group(&engine, &query, group).unwrap();
-            assert_eq!(&single, batched_est, "group {group:?}");
+        for group in [[0, 1], [1, 2], [3, 3], [7, 0]] {
+            let sketches: Vec<BottomKSample> =
+                group.iter().map(|&id| store.sketch(id).unwrap()).collect();
+            let union = SketchUnion::new(&sketches);
+            let scales = union.conditioned_scales().unwrap().to_vec();
+            let compiled = query.clone().with_instance_scales(&scales);
+            let batch = engine
+                .run(&[SourceJob::new(union, store.salt())], &compiled)
+                .unwrap();
+            let est = store.query_group(&engine, &query, &group).unwrap();
+            assert_eq!(est.estimates, batch.pairs[0].estimates, "group {group:?}");
+            assert_eq!(est.retained_truth, batch.pairs[0].truth, "group {group:?}");
         }
-        // Batch-wide validation runs before any group is answered.
-        let bad = vec![vec![0, 1], vec![0, 99]];
+        // Unknown ids and wrong group sizes are typed errors.
         assert!(matches!(
-            store.query_groups(&engine, &query, &bad),
+            store.query_group(&engine, &query, &[0, 99]),
             Err(Error::UnknownInstance { id: 99 })
         ));
-        let bad_arity = vec![vec![0, 1], vec![0, 1, 2]];
         assert!(matches!(
-            store.query_groups(&engine, &query, &bad_arity),
+            store.query_group(&engine, &query, &[0, 1, 2]),
             Err(Error::SketchArityMismatch { .. })
         ));
     }

@@ -146,11 +146,6 @@ impl ProcessShard {
         })
     }
 
-    /// This shard's position in its store (as reported in errors).
-    pub fn ordinal(&self) -> usize {
-        self.ordinal
-    }
-
     /// Kills the worker process immediately — fault injection for tests
     /// and a hard-stop for operators. Every subsequent operation on this
     /// shard fails fast with [`Error::ShardUnavailable`].

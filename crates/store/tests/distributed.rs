@@ -149,8 +149,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24).with_rng_seed(0x2014_0615_000a))]
 
     /// Every resident sketch fetched from a process store is
-    /// bit-identical to the local store's, and single fetches agree
-    /// with the batched plan under `query_groups`.
+    /// bit-identical to the local store's.
     #[test]
     fn process_sketches_are_bit_identical_to_local(
         salt in any::<u64>(),
@@ -173,9 +172,9 @@ proptest! {
         }
     }
 
-    /// Group estimates — single and batched — are bit-identical between
-    /// local and process stores: the transport is invisible to the
-    /// estimation path.
+    /// Group estimates are bit-identical between local and process
+    /// stores, a group repeating an id included: the transport is
+    /// invisible to the estimation path.
     #[test]
     fn process_group_queries_are_bit_identical_to_local(
         salt in any::<u64>(),
@@ -199,10 +198,6 @@ proptest! {
                 "group {:?}", group
             );
         }
-        prop_assert_eq!(
-            local.query_groups(&engine, &query, &groups).unwrap(),
-            remote.query_groups(&engine, &query, &groups).unwrap()
-        );
     }
 
     /// Merged band builds agree across transports and worker counts:
