@@ -79,6 +79,11 @@ fn ht_dominance_regenerates_committed_csv() {
 }
 
 #[test]
+fn lp_difference_regenerates_committed_csv() {
+    assert_regenerates("lp_difference");
+}
+
+#[test]
 fn j_ratio_regenerates_committed_csv() {
     assert_regenerates("j_ratio");
 }
@@ -92,6 +97,11 @@ fn similarity_regenerates_committed_csv() {
 #[test]
 fn lsh_regenerates_committed_csv() {
     assert_regenerates("lsh");
+}
+
+#[test]
+fn coordination_gain_regenerates_committed_csv() {
+    assert_regenerates("coordination_gain");
 }
 
 #[test]
