@@ -1,7 +1,7 @@
 //! Coordinated sampling throughput: PPS and bottom-k over large instances.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use monotone_coord::bottomk::{BottomK, RankMethod};
+use monotone_coord::bottomk::BottomK;
 use monotone_coord::instance::Instance;
 use monotone_coord::pps::CoordPps;
 use monotone_coord::seed::SeedHasher;
@@ -18,14 +18,9 @@ fn bench_sampling(c: &mut Criterion) {
         b.iter(|| black_box(pps.sample_instance(0, black_box(&inst))))
     });
 
-    let bk = BottomK::new(1000, RankMethod::Priority, SeedHasher::new(3));
+    let bk = BottomK::new(1000, SeedHasher::new(3));
     c.bench_function("bottomk_priority_100k_k1000", |b| {
         b.iter(|| black_box(bk.sample_instance(black_box(&inst))))
-    });
-
-    let bke = BottomK::new(1000, RankMethod::Exponential, SeedHasher::new(3));
-    c.bench_function("bottomk_exponential_100k_k1000", |b| {
-        b.iter(|| black_box(bke.sample_instance(black_box(&inst))))
     });
 
     let seeder = SeedHasher::new(9);

@@ -17,10 +17,9 @@
 //!
 //! * [`pps::CoordPps`] — coordinated PPS with per-instance scales (plus an
 //!   *independent*-seed mode for the LSH contrast experiment);
-//! * [`bottomk::BottomK`] — bottom-k under priority, exponential
-//!   (successive weighted without replacement) or uniform (reservoir)
-//!   ranks, with the per-item conditioned-threshold reduction to monotone
-//!   sampling;
+//! * [`bottomk::BottomK`] — bottom-k under priority ranks `u/w`, with
+//!   the per-item conditioned-threshold reduction to monotone sampling
+//!   (a coordinated-PPS threshold per item);
 //! * [`query`] — exact and estimated sum aggregates, weighted Jaccard, and
 //!   sample-overlap diagnostics;
 //! * [`source`] — the [`ItemSource`](source::ItemSource) abstraction over

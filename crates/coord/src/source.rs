@@ -24,14 +24,14 @@
 //!
 //! Sources stream weights only. A query over a [`SketchUnion`] compiles
 //! its kernel with the union's conditioned scales (e.g.
-//! `EngineQuery::with_instance_scales`): under priority ranks each
-//! sketch's threshold is one constant, so the correction lives entirely
-//! in kernel compilation and the hot loop stays unchanged.
+//! `EngineQuery::with_instance_scales`): bottom-k sketches rank by
+//! priority, so each sketch's threshold is one constant, the correction
+//! lives entirely in kernel compilation and the hot loop stays unchanged.
 //!
 //! # Examples
 //!
 //! ```
-//! use monotone_coord::bottomk::{BottomK, RankMethod};
+//! use monotone_coord::bottomk::BottomK;
 //! use monotone_coord::instance::{Instance, WeightMerger};
 //! use monotone_coord::seed::SeedHasher;
 //! use monotone_coord::source::{ItemSource, SketchUnion};
@@ -41,7 +41,7 @@
 //!
 //! // With k at least the union size, the sketch union streams exactly
 //! // what the exact merger streams.
-//! let sampler = BottomK::new(64, RankMethod::Priority, SeedHasher::new(1));
+//! let sampler = BottomK::new(64, SeedHasher::new(1));
 //! let sketches = [sampler.sample_instance(&a), sampler.sample_instance(&b)];
 //! let mut exact = WeightMerger::new([&a, &b]);
 //! let mut union = SketchUnion::new(&sketches);
@@ -56,7 +56,7 @@
 //! assert_eq!(union.conditioned_scales(), Some(&[f64::MIN_POSITIVE; 2][..]));
 //! ```
 
-use crate::bottomk::{BottomKSample, RankMethod};
+use crate::bottomk::BottomKSample;
 use crate::instance::{Instance, WeightMerger};
 
 /// A stream of items, each carrying one weight per instance of a group —
@@ -93,10 +93,10 @@ impl ItemSource for WeightMerger<'_> {
 /// per-sketch conditioned thresholds as PPS scales.
 ///
 /// Under priority ranks the conditioned threshold of every retained item
-/// of sketch `i` is the one constant `τᵢ`
-/// ([`BottomKSample::retained_rank_threshold`]), so the whole union
-/// behaves as a coordinated-PPS sample with per-instance scales
-/// `sᵢ = 1/τᵢ` ([`BottomKSample::priority_conditioned_scale`]) — a query
+/// of sketch `i` is the one constant `τᵢ`, its `(k+1)`-th smallest rank,
+/// so the whole union behaves as a coordinated-PPS sample with
+/// per-instance scales `sᵢ = 1/τᵢ`
+/// ([`BottomKSample::priority_conditioned_scale`]) — a query
 /// front end compiles its kernel with those scales and the existing
 /// closed forms apply the inverse-probability correction for evicted
 /// items unchanged. With `k` at least the union size nothing is evicted
@@ -111,13 +111,13 @@ impl ItemSource for WeightMerger<'_> {
 /// # Examples
 ///
 /// ```
-/// use monotone_coord::bottomk::{BottomK, RankMethod};
+/// use monotone_coord::bottomk::BottomK;
 /// use monotone_coord::instance::Instance;
 /// use monotone_coord::seed::SeedHasher;
 /// use monotone_coord::source::{ItemSource, SketchUnion};
 ///
 /// let inst = Instance::from_pairs((0..200u64).map(|k| (k, 0.2 + (k % 9) as f64 / 10.0)));
-/// let sampler = BottomK::new(8, RankMethod::Priority, SeedHasher::new(4));
+/// let sampler = BottomK::new(8, SeedHasher::new(4));
 /// let sketch = sampler.sample_instance(&inst);
 /// let mut union = SketchUnion::new(std::slice::from_ref(&sketch));
 /// let mut count = 0;
@@ -139,27 +139,20 @@ pub struct SketchUnion {
     columns: Vec<Vec<(u64, f64)>>,
     /// Per-column cursor into `columns`.
     pos: Vec<usize>,
-    /// Per-sketch conditioned PPS scales (priority ranks only).
-    scales: Option<Vec<f64>>,
+    /// Per-sketch conditioned PPS scales.
+    scales: Vec<f64>,
 }
 
 impl SketchUnion {
     /// A union cursor over `sketches` (instance `i` of every streamed
-    /// weight tuple is sketch `i`). Conditioned scales are computed when
-    /// every sketch uses [`RankMethod::Priority`] — the only rank
-    /// transform whose conditioned thresholds are PPS-shaped — and
-    /// reported as [`None`] otherwise.
+    /// weight tuple is sketch `i`), with each sketch's conditioned PPS
+    /// scale.
     pub fn new(sketches: &[BottomKSample]) -> SketchUnion {
         let columns: Vec<Vec<(u64, f64)>> = sketches.iter().map(|s| s.entries_by_key()).collect();
         let scales = sketches
             .iter()
-            .all(|s| s.method() == RankMethod::Priority)
-            .then(|| {
-                sketches
-                    .iter()
-                    .map(|s| s.priority_conditioned_scale())
-                    .collect()
-            });
+            .map(|s| s.priority_conditioned_scale())
+            .collect();
         SketchUnion {
             pos: vec![0; columns.len()],
             columns,
@@ -167,12 +160,13 @@ impl SketchUnion {
         }
     }
 
-    /// The per-sketch conditioned PPS scales (`None` unless every sketch
-    /// was sampled under priority ranks): an item of weight `w` was
+    /// The per-sketch conditioned PPS scales: an item of weight `w` was
     /// retained in sketch `i` iff `w >= u · sᵢ` at its shared seed `u`.
     /// A query over the union compiles its kernel with these scales.
+    ///
+    /// Always `Some`; the `Option` remains for callers that `expect` it.
     pub fn conditioned_scales(&self) -> Option<&[f64]> {
-        self.scales.as_deref()
+        Some(&self.scales)
     }
 }
 
@@ -283,7 +277,7 @@ mod tests {
     #[test]
     fn sketch_union_streams_retained_union_in_key_order() {
         let group: Vec<Instance> = (0..3).map(|i| windowed(i, 40)).collect();
-        let sampler = BottomK::new(12, RankMethod::Priority, SeedHasher::new(6));
+        let sampler = BottomK::new(12, SeedHasher::new(6));
         let sketches: Vec<BottomKSample> =
             group.iter().map(|i| sampler.sample_instance(i)).collect();
         let mut union = SketchUnion::new(&sketches);
@@ -310,7 +304,7 @@ mod tests {
     #[test]
     fn sketch_union_full_k_matches_weight_merger() {
         let group: Vec<Instance> = (0..3).map(|i| windowed(i, 30)).collect();
-        let sampler = BottomK::new(128, RankMethod::Priority, SeedHasher::new(2));
+        let sampler = BottomK::new(128, SeedHasher::new(2));
         let sketches: Vec<BottomKSample> =
             group.iter().map(|i| sampler.sample_instance(i)).collect();
         let mut union = SketchUnion::new(&sketches);
@@ -326,7 +320,7 @@ mod tests {
     #[test]
     fn sketch_union_clone_restarts_the_stream() {
         let inst = windowed(0, 50);
-        let sampler = BottomK::new(10, RankMethod::Priority, SeedHasher::new(8));
+        let sampler = BottomK::new(10, SeedHasher::new(8));
         let sketch = sampler.sample_instance(&inst);
         let mut union = SketchUnion::new(std::slice::from_ref(&sketch));
         let fresh = union.clone();
@@ -334,15 +328,6 @@ mod tests {
         let first = union.next_into(&mut w);
         let mut cloned = fresh.clone();
         assert_eq!(cloned.next_into(&mut w), first);
-    }
-
-    #[test]
-    fn non_priority_union_has_no_scales() {
-        let inst = windowed(1, 30);
-        let sampler = BottomK::new(5, RankMethod::Exponential, SeedHasher::new(3));
-        let sketch = sampler.sample_instance(&inst);
-        let union = SketchUnion::new(std::slice::from_ref(&sketch));
-        assert_eq!(union.conditioned_scales(), None);
     }
 
     #[test]

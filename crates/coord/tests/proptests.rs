@@ -1,6 +1,6 @@
 //! Property-based tests of the coordinated-sampling substrate.
 
-use monotone_coord::bottomk::{BottomK, RankMethod};
+use monotone_coord::bottomk::BottomK;
 use monotone_coord::instance::{Dataset, Instance};
 use monotone_coord::pps::{scale_for_expected_size, CoordPps};
 use monotone_coord::query::{exact_sum, weighted_jaccard};
@@ -45,38 +45,29 @@ proptest! {
         let b = pps.sample_instance(1, &inst);
         prop_assert_eq!(a.keys().collect::<Vec<_>>(), b.keys().collect::<Vec<_>>());
 
-        for method in [RankMethod::Priority, RankMethod::Exponential, RankMethod::Uniform] {
-            let bk = BottomK::new(8, method, SeedHasher::new(salt));
-            let s1 = bk.sample_instance(&inst);
-            let s2 = bk.sample_instance(&inst.clone());
-            prop_assert_eq!(
-                s1.iter().collect::<Vec<_>>(),
-                s2.iter().collect::<Vec<_>>()
-            );
-        }
+        let bk = BottomK::new(8, SeedHasher::new(salt));
+        let s1 = bk.sample_instance(&inst);
+        let s2 = bk.sample_instance(&inst.clone());
+        prop_assert_eq!(
+            s1.iter().collect::<Vec<_>>(),
+            s2.iter().collect::<Vec<_>>()
+        );
     }
 
-    /// Bottom-k membership equals the conditioned-threshold rule for all
-    /// rank methods (the footnote-1 reduction).
+    /// Bottom-k membership equals the conditioned-threshold rule (the
+    /// footnote-1 reduction).
     #[test]
     fn bottomk_conditioned_threshold(
         inst in instance_strategy(),
         salt in any::<u64>(),
         k in 1usize..20
     ) {
-        for method in [RankMethod::Priority, RankMethod::Exponential] {
-            let bk = BottomK::new(k, method, SeedHasher::new(salt));
-            let s = bk.sample_instance(&inst);
-            for (key, w) in inst.iter() {
-                let u = bk.seeder().seed(key);
-                let rank = match method {
-                    RankMethod::Priority => u / w,
-                    RankMethod::Exponential => -(-u).ln_1p() / w,
-                    RankMethod::Uniform => u,
-                };
-                let tau = s.conditioned_rank_threshold(key);
-                prop_assert_eq!(s.contains(key), rank < tau);
-            }
+        let bk = BottomK::new(k, SeedHasher::new(salt));
+        let s = bk.sample_instance(&inst);
+        for (key, w) in inst.iter() {
+            let rank = bk.seeder().seed(key) / w;
+            let tau = s.conditioned_rank_threshold(key);
+            prop_assert_eq!(s.contains(key), rank < tau);
         }
     }
 

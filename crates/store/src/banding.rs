@@ -680,13 +680,13 @@ const WIRE_VERSION: u8 = 1;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monotone_coord::bottomk::{BottomK, RankMethod};
+    use monotone_coord::bottomk::BottomK;
     use monotone_coord::instance::Instance;
     use monotone_coord::seed::SeedHasher;
 
     fn sketch(k: usize, salt: u64, keys: impl IntoIterator<Item = u64>) -> BottomKSample {
         let inst = Instance::from_pairs(keys.into_iter().map(|key| (key, 1.0 + (key % 3) as f64)));
-        BottomK::new(k, RankMethod::Priority, SeedHasher::new(salt)).sample_instance(&inst)
+        BottomK::new(k, SeedHasher::new(salt)).sample_instance(&inst)
     }
 
     #[test]

@@ -93,8 +93,7 @@ pub mod shard;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use monotone_coord::bottomk::{BottomK, BottomKSample, RankMethod};
-use monotone_coord::seed::SeedHasher;
+use monotone_coord::bottomk::BottomKSample;
 use monotone_coord::source::SketchUnion;
 use monotone_core::{Error, Result};
 use monotone_engine::{chunk_bounds, Engine, EngineQuery, SourceJob};
@@ -119,8 +118,8 @@ pub struct GroupEstimate {
 /// A resident store of coordinated bottom-k sketches, one per instance
 /// id: a thin deterministic router over N [`ShardBackend`]s.
 ///
-/// All sketches share one [`SeedHasher`] salt and use priority ranks
-/// ([`RankMethod::Priority`]) — the one rank transform whose conditioned
+/// All sketches share one seed-hash salt and rank by priority `u/w`
+/// ([`BottomK`](monotone_coord::bottomk::BottomK)), whose conditioned
 /// inclusion test is itself a PPS test, which is what lets
 /// [`SketchStore::query_group`] recompile any [`EngineQuery`] against
 /// stored sketches without new estimator machinery.
@@ -149,7 +148,7 @@ pub struct GroupEstimate {
 /// workers as [`Error::ShardUnavailable`] instead of hanging.
 #[derive(Debug)]
 pub struct SketchStore {
-    sampler: BottomK,
+    salt: u64,
     backends: Vec<Arc<dyn ShardBackend>>,
     live_cfg: Option<banding::BandConfig>,
 }
@@ -160,7 +159,7 @@ impl SketchStore {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` (the [`BottomK`] contract).
+    /// Panics if `k == 0`.
     pub fn new(k: usize, salt: u64) -> SketchStore {
         SketchStore::with_shards(k, salt, 16)
     }
@@ -193,8 +192,9 @@ impl SketchStore {
             !backends.is_empty(),
             "sketch store needs at least one shard"
         );
+        assert!(k > 0, "bottom-k needs k >= 1");
         SketchStore {
-            sampler: BottomK::new(k, RankMethod::Priority, SeedHasher::new(salt)),
+            salt,
             backends,
             live_cfg: None,
         }
@@ -245,7 +245,7 @@ impl SketchStore {
     /// compiled against this store must run under the same salt —
     /// [`SketchStore::query_group`] does so automatically.
     pub fn salt(&self) -> u64 {
-        self.sampler.seeder().salt()
+        self.salt
     }
 
     /// Number of resident instances, summed across shards.
@@ -556,7 +556,9 @@ fn check_weight(key: u64, w: f64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use monotone_coord::bottomk::BottomK;
     use monotone_coord::instance::Instance;
+    use monotone_coord::seed::SeedHasher;
 
     fn instance(lo: u64, hi: u64, w: impl Fn(u64) -> f64) -> Vec<(u64, f64)> {
         (lo..hi).map(|k| (k, w(k))).collect()
@@ -568,10 +570,30 @@ mod tests {
         let items = instance(0, 100, |k| 1.0 + (k % 7) as f64);
         store.ingest_all(5, items.iter().copied()).unwrap();
         let inst = Instance::from_pairs(items);
-        let batch = BottomK::new(8, RankMethod::Priority, SeedHasher::new(42));
+        let batch = BottomK::new(8, SeedHasher::new(42));
         assert_eq!(store.sketch(5).unwrap(), batch.sample_instance(&inst));
         assert_eq!(store.len().unwrap(), 1);
         assert!(!store.is_empty().unwrap());
+    }
+
+    #[test]
+    fn subnormal_weight_is_accepted_but_never_retained() {
+        // A positive subnormal weight passes the ingest contract, but its
+        // priority rank u/w overflows to +∞, so the sketch never retains
+        // it: the instance becomes resident with an empty sample.
+        let tiny = 5e-324;
+        assert_eq!(SeedHasher::new(42).seed(17) / tiny, f64::INFINITY);
+        let store = SketchStore::new(8, 42);
+        store.ingest(3, 17, tiny).unwrap();
+        assert_eq!(store.len().unwrap(), 1);
+        assert!(store.sketch(3).unwrap().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "bottom-k needs k >= 1")]
+    fn zero_k_store_panics() {
+        let shard: Arc<dyn ShardBackend> = Arc::new(LocalShard::new(1, 7));
+        SketchStore::with_backends(0, 7, vec![shard]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use monotone_coord::bottomk::{BottomK, BottomKSample, BottomKStream, RankMethod};
+use monotone_coord::bottomk::{BottomK, BottomKSample, BottomKStream};
 use monotone_coord::seed::SeedHasher;
 use monotone_core::{Error, Result};
 
@@ -177,14 +177,14 @@ pub struct LocalShard {
 
 impl LocalShard {
     /// An empty shard retaining `k` entries per instance under seed-hash
-    /// salt `salt` (priority ranks — the store's one rank transform).
+    /// salt `salt`.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` (the [`BottomK`] contract).
     pub fn new(k: usize, salt: u64) -> LocalShard {
         LocalShard {
-            sampler: BottomK::new(k, RankMethod::Priority, SeedHasher::new(salt)),
+            sampler: BottomK::new(k, SeedHasher::new(salt)),
             state: Mutex::new(ShardState::default()),
         }
     }
@@ -313,7 +313,7 @@ mod tests {
         let obs = items(0, 100);
         shard.ingest_all(5, &obs).unwrap();
         let inst = Instance::from_pairs(obs);
-        let batch = BottomK::new(8, RankMethod::Priority, SeedHasher::new(42));
+        let batch = BottomK::new(8, SeedHasher::new(42));
         assert_eq!(
             shard.sketches(&[5]).unwrap(),
             vec![Some(batch.sample_instance(&inst))]

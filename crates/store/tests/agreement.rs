@@ -10,7 +10,7 @@
 //!    ([`workload::rg1_instance_pool`]), the store's inverse-probability
 //!    corrected estimates approach the exact aggregate as k grows.
 
-use monotone_coord::bottomk::{BottomK, BottomKSample, RankMethod};
+use monotone_coord::bottomk::{BottomK, BottomKSample};
 use monotone_coord::instance::Instance;
 use monotone_coord::seed::SeedHasher;
 use monotone_coord::source::SketchUnion;
@@ -28,7 +28,7 @@ fn instance_strategy() -> impl Strategy<Value = Instance> {
 
 /// A sketch of `inst` big enough to retain every item (k ≥ union size).
 fn lossless_sketch(inst: &Instance, k: usize, salt: u64) -> BottomKSample {
-    BottomK::new(k, RankMethod::Priority, SeedHasher::new(salt)).sample_instance(inst)
+    BottomK::new(k, SeedHasher::new(salt)).sample_instance(inst)
 }
 
 proptest! {

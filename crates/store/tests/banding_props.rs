@@ -16,7 +16,7 @@
 //!    order — the property that lets the `allpairs` scenario promise
 //!    byte-identical CSVs at every shard/worker geometry.
 
-use monotone_coord::bottomk::{BottomK, BottomKSample, RankMethod};
+use monotone_coord::bottomk::{BottomK, BottomKSample};
 use monotone_coord::instance::Instance;
 use monotone_coord::seed::SeedHasher;
 use monotone_engine::Engine;
@@ -53,7 +53,7 @@ fn mutated_pool(base_len: u64, mutations: &[Vec<u64>]) -> Vec<Instance> {
 
 /// A recall-1 sketch: k is the instance size, so nothing is evicted.
 fn exact_sketch(inst: &Instance, salt: u64) -> BottomKSample {
-    BottomK::new(inst.len(), RankMethod::Priority, SeedHasher::new(salt)).sample_instance(inst)
+    BottomK::new(inst.len(), SeedHasher::new(salt)).sample_instance(inst)
 }
 
 proptest! {

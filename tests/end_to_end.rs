@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: generators → coordinated sampling → per-item
 //! monotone estimation → sum aggregates; and sketches → HIP → similarity.
 
-use monotone_sampling::coord::bottomk::{BottomK, RankMethod};
+use monotone_sampling::coord::bottomk::BottomK;
 use monotone_sampling::coord::instance::{Dataset, Instance};
 use monotone_sampling::coord::pps::{scale_for_expected_size, CoordPps};
 use monotone_sampling::coord::query::{estimate_sum, exact_sum, weighted_jaccard};
@@ -111,7 +111,7 @@ fn bottomk_conditioned_estimation_unbiased() {
     let trials = 250;
     let mut mean = 0.0;
     for salt in 0..trials {
-        let sampler = BottomK::new(30, RankMethod::Priority, SeedHasher::new(salt));
+        let sampler = BottomK::new(30, SeedHasher::new(salt));
         let samples = vec![sampler.sample_instance(&a), sampler.sample_instance(&b)];
         let mut total = 0.0;
         let keys: std::collections::BTreeSet<u64> = samples
