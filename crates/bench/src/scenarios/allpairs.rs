@@ -17,14 +17,15 @@
 //!    ranks, so identical items hash identically across instances with
 //!    no extra data passes.
 //! 2. **Streaming extraction + bucket-batched verification** (O(block)
-//!    memory): candidate pairs are never materialized as one global
-//!    set. [`BandIndex::for_each_candidate_block`] streams them in
+//!    candidate memory): candidate pairs are never materialized as one
+//!    global set. [`BandIndex::for_each_candidate_block`] streams them in
 //!    fixed-size sorted blocks, and each block is re-estimated through
 //!    the engine's pair path with the distinct-count (union) kernel;
 //!    pairs whose support Jaccard `(|A| + |B| − U)/U` clears the
-//!    similarity threshold are accepted. Peak resident candidate state
-//!    is one block — the knob that lets N = 10⁶ (≈ 5·10¹¹ potential
-//!    pairs) run in bounded memory.
+//!    similarity threshold are accepted. Resident candidate state is
+//!    one block, beside the extraction's transient band grouping
+//!    (`O(registrations)`, never `O(pairs)`) — what lets N = 10⁶
+//!    (≈ 5·10¹¹ potential pairs) run in bounded memory.
 //! 3. **Live incremental maintenance** (the service path): a fresh
 //!    store with its live index enabled
 //!    ([`SketchStore::enable_live_index`]) ingests a capped prefix of
@@ -57,9 +58,12 @@
 //! repository benchmark (`perfbench/`) covers — the live leg's
 //! `updates_per_sec` (in-process re-registration alone) and the
 //! distributed build's `dist_build_instances_per_sec` (partials shipped
-//! over the pipe). The benchmark's `join` workload times the build,
-//! extraction and verification; its `churn` workload the gathered live
-//! probes.
+//! over the pipe). Four more, ungated, say where the join's time went,
+//! each summed over units in seconds: `ingest_s` (sketching the pool),
+//! `band_build_s` ([`SketchStore::band_index_with`]), `extract_s` (the
+//! streamed extraction outside `engine.run`) and `verify_s` (inside
+//! it). The benchmark's `join` workload times the build, extraction and
+//! verification; its `churn` workload the gathered live probes.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -127,13 +131,18 @@ fn band_config(p: &Prepared) -> BandConfig {
 }
 
 /// Stage 1: sketch the pool, then the parallel blocked index build over
-/// the resident sketches.
-fn stage_build(p: &Prepared, engine: &Engine) -> Result<BandIndex> {
+/// the resident sketches. Returns the index with the seconds spent
+/// ingesting and building it.
+fn stage_build(p: &Prepared, engine: &Engine) -> Result<(BandIndex, f64, f64)> {
+    let start = Instant::now();
     let store = SketchStore::new(K, p.salt);
     for (id, inst) in p.pool.iter().enumerate() {
         store.ingest_all(id as u64, inst.iter())?;
     }
-    store.band_index_with(&band_config(p), engine)
+    let ingest_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let index = store.band_index_with(&band_config(p), engine)?;
+    Ok((index, ingest_s, start.elapsed().as_secs_f64()))
 }
 
 /// Outcome of the streamed extract-and-verify pass over one unit.
@@ -152,6 +161,10 @@ struct Verified {
     agree: usize,
     /// Candidate pairs with both endpoints inside the recall slice.
     slice_pairs: Vec<(u64, u64)>,
+    /// Seconds of the streamed pass outside `engine.run`.
+    extract_s: f64,
+    /// Seconds inside `engine.run`.
+    verify_s: f64,
 }
 
 impl Verified {
@@ -175,6 +188,7 @@ fn stage_verify_streamed(p: &Prepared, index: &BandIndex, engine: &Engine) -> Re
     let jaccard = |union: f64| (2.0 * ITEMS as f64 - union) / union;
     let mut v = Verified::default();
     let mut err: Option<monotone_core::Error> = None;
+    let start = Instant::now();
     index.for_each_candidate_block(BLOCK, |block| {
         if err.is_some() {
             return;
@@ -187,7 +201,10 @@ fn stage_verify_streamed(p: &Prepared, index: &BandIndex, engine: &Engine) -> Re
             .iter()
             .map(|&(a, b)| PairJob::new(&p.pool[a as usize], &p.pool[b as usize], p.salt))
             .collect();
-        match engine.run(&jobs, &query) {
+        let verify_start = Instant::now();
+        let run = engine.run(&jobs, &query);
+        v.verify_s += verify_start.elapsed().as_secs_f64();
+        match run {
             Err(e) => err = Some(e),
             Ok(batch) => {
                 for pair in &batch.pairs {
@@ -200,6 +217,7 @@ fn stage_verify_streamed(p: &Prepared, index: &BandIndex, engine: &Engine) -> Re
             }
         }
     });
+    v.extract_s = start.elapsed().as_secs_f64() - v.verify_s;
     match err {
         Some(e) => Err(e),
         None => Ok(v),
@@ -355,7 +373,7 @@ impl Scenario for AllPairs {
             .map(|unit| {
                 let n = NS[unit];
                 let prepared = prepare(unit);
-                let index = stage_build(&prepared, engine)?;
+                let (index, ingest_s, band_build_s) = stage_build(&prepared, engine)?;
                 let verified = stage_verify_streamed(&prepared, &index, engine)?;
                 let (live_updates, live_secs, live_ok) = stage_live(&prepared)?;
 
@@ -408,8 +426,8 @@ impl Scenario for AllPairs {
                 }
 
                 // Metrics layout consumed by finish: the deterministic
-                // join shape, then the two measured legs (the
-                // distributed one zero off its unit).
+                // join shape, the two measured legs (the distributed one
+                // zero off its unit), then the join's stage seconds.
                 out.metric(recall) // 0
                     .metric(verified.agreement()) // 1
                     .metric(frac) // 2
@@ -422,7 +440,11 @@ impl Scenario for AllPairs {
                     .metric(
                         dist.as_ref()
                             .map_or(1.0, |d| f64::from(u8::from(d.matches_local))),
-                    ); // 9
+                    ) // 9
+                    .metric(ingest_s) // 10
+                    .metric(band_build_s) // 11
+                    .metric(verified.extract_s) // 12
+                    .metric(verified.verify_s); // 13
                 Ok(out)
             })
             .collect()
@@ -502,5 +524,9 @@ impl Scenario for AllPairs {
         .with_bench_field("peak_candidate_block", peak_block)
         .with_bench_field("updates_per_sec", update_rate)
         .with_bench_field("dist_build_instances_per_sec", dist_build_rate)
+        .with_bench_field("ingest_s", sum(10))
+        .with_bench_field("band_build_s", sum(11))
+        .with_bench_field("extract_s", sum(12))
+        .with_bench_field("verify_s", sum(13))
     }
 }

@@ -45,30 +45,38 @@
 //!
 //! Building is `O(k + bands)` hashing per instance (one rank-ordered
 //! walk over the sketch, [`BandConfig::signature`]). The index stores
-//! those signatures in an id-ordered map; its bucket table — per band,
-//! a hash map from band hash to the ids registered under it, where a
-//! bucket of one id (most of them, in a large index) holds it inline —
-//! is derived from the signatures and built **once per index**: by
-//! [`BandIndex::merged`], or by the first probe of an index built with
-//! [`BandIndex::insert`] or [`BandIndex::decode`]. The build goes one
-//! band at a time. It splits the registrations into one list per band,
-//! in id order, then fills each band's map from its list, sized by the
-//! list's length, so only one band's map is written at any moment. A
-//! per-shard partial that is only shipped and merged carries
-//! signatures and never builds a table. Once built, the table is kept
-//! current by `insert` and [`BandIndex::remove`] in `O(bands)` expected
-//! time per call.
+//! those signatures in an id-ordered map, and everything else is
+//! derived from them.
 //!
-//! Pair extraction is `Σ |bucket|²` over buckets — the LSH contract is
-//! that buckets stay small because dissimilar instances rarely share a
-//! band. Feeding the index signatures that collide en masse (e.g. one
-//! duplicated instance a thousand times) degrades gracefully toward the
-//! quadratic worst case, it does not fail. Crucially, extraction
-//! **streams**: [`BandIndex::for_each_candidate_block`] walks instances
-//! in ascending id order, collecting each instance's bucket memberships
-//! into a per-id run of sorted, deduplicated partners, and hands the
-//! caller fixed-size blocks of globally sorted pairs — peak memory is
-//! `O(block + largest per-id candidate set)`, never `O(total pairs)`.
+//! Probes read a bucket table — per band, a hash map from band hash to
+//! the ids registered under it, where a bucket of one id (most of them,
+//! in a large index) holds it inline. The table serves probes and
+//! nothing else: it is built by an index's **first probe**, whether the
+//! index came from [`BandIndex::insert`], [`BandIndex::merged`] or
+//! [`BandIndex::decode`], and is then kept current by `insert` and
+//! [`BandIndex::remove`] in `O(bands)` expected time per call. The build
+//! goes one band at a time, filling each band's map from that band's
+//! registrations, so only one map is written at any moment. An index
+//! that is only merged and extracted — the bulk join — never builds it.
+//!
+//! Pair extraction reads the signatures alone. It splits the
+//! registrations into one `(hash, id)` list per band and sorts each
+//! list by hash; a run of two or more equal hashes is a *group*, the
+//! only kind of bucket that yields pairs. The groups are kept and the
+//! lists dropped band by band. A sort keeps the grouping
+//! `O(R log R)` in the `R` registrations whatever the band hashes are,
+//! as the table's collision-resistant hasher does for probes. Pairs then
+//! cost `Σ |group|²` over groups — the LSH contract is that groups stay
+//! small because dissimilar instances rarely share a band. Feeding the
+//! index signatures that collide en masse (e.g. one duplicated instance
+//! a thousand times) degrades gracefully toward the quadratic worst
+//! case, it does not fail. Crucially, extraction **streams**:
+//! [`BandIndex::for_each_candidate_block`] walks the grouped ids in
+//! ascending order, collecting each id's groups into a run of sorted,
+//! deduplicated partners, and hands the caller fixed-size blocks of
+//! globally sorted pairs. Transient memory is `O(registrations + group
+//! memberships)` for the grouping, plus `O(block + largest per-id
+//! candidate set)` for the stream — never `O(total pairs)`.
 //! [`BandIndex::candidate_pairs`] is the collect-everything convenience
 //! wrapper over the same walk.
 //!
@@ -203,15 +211,29 @@ impl BandConfig {
     /// so two coordinated sketches agree on a slot exactly when the
     /// least-rank item of that key region is retained by both.
     pub fn signature(&self, sketch: &BottomKSample) -> Box<[(u32, u64)]> {
-        let mut slots = vec![None; self.slots()];
+        let n = self.slots();
+        let (mut stack, mut heap) = ([None; STACK_SLOTS], Vec::new());
+        let slots = if n <= STACK_SLOTS {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, None);
+            &mut heap[..]
+        };
         // The slot a key feeds is a pure function of `(salt, key)` —
         // shared by every instance, which is what makes slot values
         // comparable. `iter()` yields retained entries in ascending rank
         // order, so the first key to claim a slot is its min-rank key.
         let slot_salt = splitmix64(self.salt ^ SLOT_GAMMA);
-        let n = self.slots() as u64;
+        let n = n as u64;
         for (key, _w) in sketch.iter() {
-            slots[(splitmix64(key ^ slot_salt) % n) as usize].get_or_insert(key);
+            let h = splitmix64(key ^ slot_salt);
+            // For a power of two, `& (n - 1)` is `% n` without the division.
+            let slot = if n.is_power_of_two() {
+                h & (n - 1)
+            } else {
+                h % n
+            };
+            slots[slot as usize].get_or_insert(key);
         }
         let band_seed = splitmix64(self.salt ^ BAND_GAMMA);
         slots
@@ -263,6 +285,10 @@ impl BandConfig {
 /// allocation.
 const MAX_SLOTS: usize = 1 << 16;
 
+/// Configs of up to this many slots fill their signature's slots in a
+/// stack buffer; larger ones allocate.
+const STACK_SLOTS: usize = 64;
+
 /// Domain-separation constants so the slot hash and the band fold never
 /// coincide with the seed hash or with each other.
 const SLOT_GAMMA: u64 = 0xb5ad_4ece_da1c_e2a9;
@@ -285,9 +311,9 @@ const BAND_GAMMA: u64 = 0x2545_f491_4f6c_dd1d;
 /// whose hash changed), [`BandIndex::remove`] unregisters an id
 /// entirely, and [`BandIndex::candidates_of_id`] answers probes for
 /// resident ids off the cache in `O(bands)` bucket lookups. The bucket
-/// table is derived from the signatures and built once, by
-/// [`BandIndex::merged`] or the first probe; see the
-/// [module docs](self) for the cost model.
+/// table those lookups read is derived from the signatures and built by
+/// the first probe; extraction reads the signatures alone and never
+/// needs it. See the [module docs](self) for the cost model.
 #[derive(Debug, Clone)]
 pub struct BandIndex {
     cfg: BandConfig,
@@ -295,8 +321,8 @@ pub struct BandIndex {
     /// is registered under. Ordered so
     /// [`BandIndex::for_each_candidate_block`] walks ids ascending.
     signatures: BTreeMap<u64, Box<[(u32, u64)]>>,
-    /// The bucket table of `signatures`: built by `merged` or the first
-    /// probe, then kept current by `insert` and `remove`.
+    /// The bucket table of `signatures`, for probes only: built by the
+    /// first probe, then kept current by `insert` and `remove`.
     table: OnceLock<Table>,
 }
 
@@ -330,18 +356,23 @@ impl Bucket {
     }
 }
 
-/// The bucket table of `signatures` under a `bands`-band config, built
-/// one band at a time: the registrations are first split into one
-/// `(hash, id)` list per band, in id order, and each band's map is then
-/// filled from its list and sized by its length, so only one map is
-/// written at a time and every bucket lists its ids in ascending order.
-fn build_table(bands: usize, signatures: &BTreeMap<u64, Box<[(u32, u64)]>>) -> Table {
-    let mut per_band = vec![Vec::new(); bands];
+/// The registrations of `signatures`, split into one `(hash, id)` list
+/// per band of a `bands`-band config, each in id order.
+fn per_band(bands: usize, signatures: &BTreeMap<u64, Box<[(u32, u64)]>>) -> Vec<Vec<(u64, u64)>> {
+    let mut lists = vec![Vec::new(); bands];
     for (&id, sig) in signatures {
         for &(band, hash) in sig.iter() {
-            per_band[band as usize].push((hash, id));
+            lists[band as usize].push((hash, id));
         }
     }
+    lists
+}
+
+/// The bucket table of `signatures` under a `bands`-band config, built
+/// one band at a time: each band's map is filled from its
+/// [`per_band`] list and sized by its length, so only one map is
+/// written at a time and every bucket lists its ids in ascending order.
+fn build_table(bands: usize, signatures: &BTreeMap<u64, Box<[(u32, u64)]>>) -> Table {
     let fill = |list: Vec<(u64, u64)>| {
         let mut buckets = HashMap::with_capacity(list.len());
         for (hash, id) in list {
@@ -349,7 +380,7 @@ fn build_table(bands: usize, signatures: &BTreeMap<u64, Box<[(u32, u64)]>>) -> T
         }
         buckets
     };
-    per_band.into_iter().map(fill).collect()
+    per_band(bands, signatures).into_iter().map(fill).collect()
 }
 
 /// Adds `id` to the bucket of `hash` in one band's map.
@@ -468,11 +499,13 @@ impl BandIndex {
 
     /// Merges per-worker partial indexes (the parallel blocked build)
     /// into one, in order. The parts' signatures move into one map as
-    /// they are — parts carry signatures, not tables — and the merged
-    /// bucket table is then built once, one band at a time. The result is
-    /// interchangeable with inserting every instance into a single
-    /// index: signatures are the union, and all sorted query outputs are
-    /// bit-identical.
+    /// they are — parts carry signatures, not tables — and nothing else
+    /// is built: like an index built by [`insert`](BandIndex::insert) or
+    /// [`decode`](BandIndex::decode), the merged index builds its bucket
+    /// table on its first probe, and extraction never needs one. The
+    /// result is interchangeable with inserting every instance into a
+    /// single index: signatures are the union, and all sorted query
+    /// outputs are bit-identical.
     ///
     /// # Panics
     ///
@@ -490,11 +523,10 @@ impl BandIndex {
                 );
             }
         }
-        let table = OnceLock::from(build_table(cfg.bands(), &signatures));
         BandIndex {
             cfg,
             signatures,
-            table,
+            table: OnceLock::new(),
         }
     }
 
@@ -545,31 +577,51 @@ impl BandIndex {
     /// to `f` in blocks of at least `block` pairs (the final block may
     /// be smaller; a block can overshoot by one instance's partner run).
     /// Concatenating the blocks yields exactly
-    /// [`candidate_pairs`](BandIndex::candidate_pairs), but peak memory
-    /// is `O(block + largest per-id candidate set)` instead of
+    /// [`candidate_pairs`](BandIndex::candidate_pairs), but transient
+    /// memory is `O(registrations + group memberships)` plus
+    /// `O(block + largest per-id candidate set)` instead of
     /// `O(total pairs)` — the verification stage of a 10⁶-instance join
     /// consumes the stream without ever materializing the pair set.
     ///
-    /// The walk is id-major: for each inserted id `a` in ascending
-    /// order, the members of `a`'s buckets above `a` are collected,
-    /// sorted, and deduplicated into `a`'s partner run. Every colliding
-    /// pair is seen from both sides, so emitting only the `b > a` side
-    /// yields each pair exactly once, already in global order.
+    /// Extraction reads the signatures alone and makes no table lookup.
+    /// Each band's registrations are sorted by hash, and every hash
+    /// registered by two or more ids is a group. The walk is then
+    /// id-major: for each grouped id `a` in ascending order, the members
+    /// of `a`'s groups above `a` are collected, sorted, and deduplicated
+    /// into `a`'s partner run. Every colliding pair is seen from both
+    /// sides, so emitting only the `b > a` side yields each pair exactly
+    /// once, already in global order. The groups are the table's buckets
+    /// of two or more ids, since `insert` and `remove` keep the table
+    /// equal to one built from the signatures: every index answers the
+    /// same, whether or not a probe has built its table.
     ///
     /// # Panics
     ///
     /// Panics if `block == 0`.
     pub fn for_each_candidate_block<F: FnMut(&[(u64, u64)])>(&self, block: usize, mut f: F) {
         assert!(block > 0, "blocked extraction needs a positive block size");
+        // Group `g` is `grouped[bounds[g]..bounds[g + 1]]`, its ids in no
+        // particular order; `memberships` holds one `(id, g)` per member.
+        let (mut grouped, mut bounds, mut memberships) = (Vec::new(), vec![0], Vec::new());
+        for mut list in per_band(self.cfg.bands(), &self.signatures) {
+            list.sort_unstable_by_key(|&(hash, _)| hash);
+            for run in list.chunk_by(|x, y| x.0 == y.0).filter(|r| r.len() >= 2) {
+                for &(_, id) in run {
+                    memberships.push((id, bounds.len() - 1));
+                    grouped.push(id);
+                }
+                bounds.push(grouped.len());
+            }
+        }
+        memberships.sort_unstable_by_key(|&(id, _)| id);
         let mut buf: Vec<(u64, u64)> = Vec::with_capacity(block.min(1 << 16));
         let mut partners: Vec<u64> = Vec::new();
-        let table = self.table();
-        for (&a, sig) in &self.signatures {
+        for run in memberships.chunk_by(|x, y| x.0 == y.0) {
+            let a = run[0].0;
             partners.clear();
-            for &(band, h) in sig.iter() {
-                if let Some(bucket) = table[band as usize].get(&h) {
-                    partners.extend(bucket.ids().iter().copied().filter(|&b| b > a));
-                }
+            for &(_, g) in run {
+                let group = &grouped[bounds[g]..bounds[g + 1]];
+                partners.extend(group.iter().copied().filter(|&b| b > a));
             }
             partners.sort_unstable();
             partners.dedup();
@@ -600,8 +652,8 @@ impl BandIndex {
     /// remote shard ships a build partial to the router. Only the config
     /// and the per-id signatures travel; the bucket table is derived
     /// state that the receiver builds from the signatures when it first
-    /// probes (or merges), so sender and receiver cannot disagree about
-    /// bucket contents.
+    /// probes, so sender and receiver cannot disagree about bucket
+    /// contents.
     pub fn encode_into(&self, out: &mut Enc) {
         out.put_u8(WIRE_VERSION);
         self.cfg.encode_into(out);
@@ -617,10 +669,11 @@ impl BandIndex {
     }
 
     /// Decodes one index from `dec`. Only signatures are read; the bucket
-    /// table is built by the first probe, or by [`BandIndex::merged`],
-    /// which reads signatures alone. The result is interchangeable with
-    /// the encoded index: signatures are bit-identical and every sorted
-    /// query output matches.
+    /// table is built by the first probe, and
+    /// [`for_each_candidate_block`](BandIndex::for_each_candidate_block)
+    /// and [`BandIndex::merged`] read signatures alone. The result is
+    /// interchangeable with the encoded index: signatures are
+    /// bit-identical and every sorted query output matches.
     ///
     /// # Errors
     ///
@@ -723,6 +776,50 @@ mod tests {
         cfg.encode_into(&mut enc);
         let bytes = enc.into_bytes();
         assert_eq!(BandConfig::decode(&mut Dec::new(&bytes)).unwrap(), cfg);
+    }
+
+    /// The signatures of fixed sketches under six configs fold to the
+    /// FNV-1a-64 values recorded before `signature` kept its slots on the
+    /// stack and masked power-of-two slot counts: 32, 48, 15 and 64
+    /// slots take the stack buffer, 80 and 128 the heap one; 32, 64 and
+    /// 128 slots take the mask, the others `%`.
+    #[test]
+    fn pinned_signatures_are_unchanged() {
+        let sketches: Vec<BottomKSample> = (0..40u64)
+            .map(|i| {
+                let k = [8, 32, 64, 128, 200][i as usize % 5];
+                sketch(k, 9, i * 37..i * 37 + 1 + 9 * i)
+            })
+            .collect();
+        for (bands, rows, pinned, registrations) in [
+            (16, 2, 0x5f46_0db4_cea1_f80e, 371),
+            (24, 2, 0x1bf7_d683_e8c9_e3be, 445),
+            (5, 3, 0x390f_ef69_fc3f_0253, 141),
+            (32, 2, 0xa1af_ac21_a464_a54b, 478),
+            (40, 2, 0x71e1_0c11_22a1_7a08, 504),
+            (64, 2, 0x124f_3271_31d8_1e40, 490),
+        ] {
+            let cfg = BandConfig::new(bands, rows, 0x5eed_0024);
+            let mut bytes = Vec::new();
+            let mut total = 0;
+            for s in &sketches {
+                let sig = cfg.signature(s);
+                total += sig.len();
+                bytes.extend_from_slice(&(sig.len() as u64).to_le_bytes());
+                for &(band, hash) in sig.iter() {
+                    bytes.extend_from_slice(&band.to_le_bytes());
+                    bytes.extend_from_slice(&hash.to_le_bytes());
+                }
+            }
+            let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(
+                (fnv, total),
+                (pinned, registrations),
+                "{bands}x{rows}: fnv = {fnv:#018x}"
+            );
+        }
     }
 
     #[test]
@@ -917,6 +1014,159 @@ mod tests {
     #[should_panic(expected = "positive block size")]
     fn zero_block_size_panics() {
         BandIndex::new(BandConfig::new(4, 1, 0)).for_each_candidate_block(0, |_| {});
+    }
+
+    /// Whether ids `a` and `b` of `index` share a `(band, hash)`.
+    fn collide(index: &BandIndex, a: u64, b: u64) -> bool {
+        let sig_b = index.signature(b).unwrap();
+        index
+            .signature(a)
+            .unwrap()
+            .iter()
+            .any(|reg| sig_b.contains(reg))
+    }
+
+    /// The blocks `for_each_candidate_block(block, ..)` must hand out,
+    /// derived from the signatures alone by comparing every pair of ids:
+    /// each `a < b` that shares a `(band, hash)`, in per-`a` runs,
+    /// flushed once a block holds at least `block` pairs.
+    fn reference_blocks(index: &BandIndex, block: usize) -> Vec<Vec<(u64, u64)>> {
+        let ids: Vec<u64> = index.ids().collect();
+        let (mut blocks, mut buf) = (Vec::new(), Vec::new());
+        for (i, &a) in ids.iter().enumerate() {
+            buf.extend(
+                ids[i + 1..]
+                    .iter()
+                    .filter(|&&b| collide(index, a, b))
+                    .map(|&b| (a, b)),
+            );
+            if buf.len() >= block {
+                blocks.push(std::mem::take(&mut buf));
+            }
+        }
+        if !buf.is_empty() {
+            blocks.push(buf);
+        }
+        blocks
+    }
+
+    /// The ids sharing a `(band, hash)` with `id`, from the signatures.
+    fn reference_probe(index: &BandIndex, id: u64) -> Vec<u64> {
+        index.ids().filter(|&b| collide(index, id, b)).collect()
+    }
+
+    fn assert_blocks_match_reference(index: &BandIndex, what: &str) {
+        let pairs: usize = reference_blocks(index, usize::MAX)
+            .iter()
+            .map(Vec::len)
+            .sum();
+        assert!(pairs > 20, "{what}: the workload must produce candidates");
+        for block in [1, 2, 7, 1024, usize::MAX] {
+            let mut blocks = Vec::new();
+            index.for_each_candidate_block(block, |b| blocks.push(b.to_vec()));
+            assert_eq!(
+                blocks,
+                reference_blocks(index, block),
+                "{what}, block={block}"
+            );
+        }
+    }
+
+    /// Extraction matches the all-pairs reference on every kind of index:
+    /// built by `insert` (with re-inserts that move some bands and
+    /// removes that leave buckets with one id or none), before and after
+    /// a probe builds the table, `merged` (which builds none until its
+    /// first probe), and `decode`d.
+    #[test]
+    fn extraction_matches_an_all_pairs_reference_on_every_kind_of_index() {
+        let cfg = BandConfig::new(12, 2, 5);
+        // Ids 0..30 come in identical pairs and ids 30..48 in identical
+        // triples; windows overlap their neighbours' by a third.
+        let window = |w: u64| sketch(32, 9, w * 32..w * 32 + 48);
+        let mut fin: BTreeMap<u64, BottomKSample> = (0..48u64)
+            .map(|id| (id, window(if id < 30 { id / 2 } else { 100 + id / 3 })))
+            .collect();
+        fin.insert(500, window(900));
+        let build = |probe_early: bool| {
+            let mut index = BandIndex::new(cfg);
+            for (id, s) in &fin {
+                index.insert(*id, s);
+            }
+            if probe_early {
+                assert!(index.candidates_of_id(0).is_some());
+            }
+            index
+        };
+        // Id 0 keeps some bands and moves others, leaving id 1 alone in
+        // the old buckets; removing 3 leaves 2 alone; removing 500
+        // empties its buckets; 1000 joins the pair 10, 11.
+        let moved = sketch(
+            32,
+            9,
+            (0..48).map(|key| key + 50_000 * u64::from(key % 5 == 0)),
+        );
+        let mut final_sketches = fin.clone();
+        final_sketches.insert(0, moved.clone());
+        final_sketches.remove(&3);
+        final_sketches.remove(&500);
+        final_sketches.insert(1000, fin[&10].clone());
+        let mutate = |index: &mut BandIndex| {
+            index.insert(0, &moved);
+            assert!(index.remove(3) && index.remove(500));
+            index.insert(1000, &fin[&10]);
+        };
+
+        let mut unprobed = build(false);
+        mutate(&mut unprobed);
+        let mut probed = build(true);
+        mutate(&mut probed);
+        assert!(unprobed.table.get().is_none() && probed.table.get().is_some());
+        let old0 = cfg.signature(&fin[&0]);
+        let new0 = unprobed.signature(0).unwrap();
+        assert!(
+            old0.iter().any(|reg| new0.contains(reg)),
+            "id 0 keeps a band"
+        );
+        assert!(
+            old0.iter().any(|reg| !new0.contains(reg)),
+            "id 0 moves a band"
+        );
+        for (id, s) in &final_sketches {
+            assert_eq!(unprobed.signature(*id), Some(&*cfg.signature(s)), "id={id}");
+        }
+
+        assert_blocks_match_reference(&unprobed, "inserted, never probed");
+        assert!(unprobed.table.get().is_none(), "extraction builds no table");
+        assert_blocks_match_reference(&probed, "inserted, probed before the updates");
+        for id in unprobed.ids() {
+            assert_eq!(
+                unprobed.candidates_of_id(id),
+                Some(reference_probe(&unprobed, id)),
+                "id={id}"
+            );
+        }
+        assert_blocks_match_reference(&unprobed, "inserted, probed after the updates");
+
+        let mut parts: Vec<BandIndex> = (0..3).map(|_| BandIndex::new(cfg)).collect();
+        for (id, s) in &final_sketches {
+            parts[(*id % 3) as usize].insert(*id, s);
+        }
+        let merged = BandIndex::merged(cfg, parts);
+        assert!(merged.table.get().is_none(), "merged builds no table");
+        assert_blocks_match_reference(&merged, "merged");
+        assert!(merged.table.get().is_none(), "extraction builds no table");
+        for id in unprobed.ids() {
+            assert_eq!(merged.candidates_of_id(id), unprobed.candidates_of_id(id));
+        }
+        assert!(
+            merged.table.get().is_some(),
+            "the first probe builds the table"
+        );
+
+        let mut enc = Enc::new();
+        probed.encode_into(&mut enc);
+        let decoded = BandIndex::decode(&mut Dec::new(&enc.into_bytes())).unwrap();
+        assert_blocks_match_reference(&decoded, "decoded");
     }
 
     /// Probes `index`, which builds its bucket table, then re-inserts one

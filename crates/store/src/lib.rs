@@ -28,7 +28,7 @@
 //!   into a partial [`banding::BandIndex`] of signatures
 //!   ([`ShardBackend::band_partial`]), and the router unions the
 //!   partials with the deterministic [`banding::BandIndex::merged`],
-//!   which builds the one bucket table;
+//!   which moves signatures and builds no bucket table;
 //! * **live similarity** — each shard maintains its own live index
 //!   under ingest/evict, and
 //!   [`SketchStore::live_candidates_of`] *gathers*: it fetches the
@@ -214,6 +214,9 @@ impl SketchStore {
     /// Panics if `k == 0` or `procs == 0`.
     pub fn with_process_shards(k: usize, salt: u64, procs: usize) -> Result<SketchStore> {
         assert!(procs > 0, "sketch store needs at least one shard");
+        // Checked before any worker starts: a worker refuses `k = 0` in
+        // its handshake, which would read as a dead worker.
+        assert!(k > 0, "bottom-k needs k >= 1");
         let mut backends: Vec<Arc<dyn ShardBackend>> = Vec::with_capacity(procs);
         for ordinal in 0..procs {
             let command = remote::worker_command()?;
@@ -451,8 +454,9 @@ impl SketchStore {
     /// release, so concurrent `ingest` never stalls behind a resident
     /// build; a process shard hashes entirely inside its worker and
     /// ships only the finished partial. A partial carries signatures
-    /// only: the merge moves them into one map and builds the index's
-    /// bucket table once, one band at a time.
+    /// only, and the merge moves them into one map: the result's bucket
+    /// table is built by its first probe, and pair extraction reads the
+    /// signatures alone.
     ///
     /// The result is **bit-identical for every shard count, process
     /// count, worker count, backend kind, and ingest order** —
@@ -594,6 +598,15 @@ mod tests {
     fn zero_k_store_panics() {
         let shard: Arc<dyn ShardBackend> = Arc::new(LocalShard::new(1, 7));
         SketchStore::with_backends(0, 7, vec![shard]);
+    }
+
+    /// `k = 0` is the caller's error, caught before any worker is
+    /// resolved or spawned; it must not come back as a worker refusing
+    /// its handshake.
+    #[test]
+    #[should_panic(expected = "bottom-k needs k >= 1")]
+    fn zero_k_process_store_panics() {
+        let _ = SketchStore::with_process_shards(0, 7, 1);
     }
 
     #[test]

@@ -107,9 +107,9 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
     /// Builds a [`BandIndex`] partial over this shard's residents under
     /// `cfg` — hashing runs shard-locally (inside the worker process,
     /// for a remote shard) and only the finished partial ships. The
-    /// router merges partials with [`BandIndex::merged`], which builds
-    /// the merged index's bucket table; a partial carries signatures and
-    /// builds a table of its own only if something probes it.
+    /// router merges partials with [`BandIndex::merged`], which moves
+    /// their signatures into one index; a partial or a merged index
+    /// builds a bucket table only if something probes it.
     ///
     /// # Errors
     ///
@@ -243,8 +243,8 @@ impl ShardBackend for LocalShard {
         // Copy the samples under the lock (no hashing inside the
         // critical section), then hash them after release, so
         // concurrent ingest never stalls behind a resident build. The
-        // partial carries signatures only; whoever probes or merges it
-        // builds the bucket table.
+        // partial carries signatures only; whoever probes it builds the
+        // bucket table.
         let samples: Vec<(u64, BottomKSample)> = {
             let state = self.lock();
             state
