@@ -180,13 +180,6 @@ fn main() {
         .without_closed_forms();
     let (kernel_generic_secs, total_kernel_generic) =
         timed(|| batched(&engine_1t, &jobs, &generic_query));
-    // The fixed-seed (probe-curve) path: identical jobs pinned to one
-    // shared seed. This path must never touch the bulk hash — the
-    // recorded rate prices what probe sweeps save by skipping seed_many
-    // (the sampled-item mix differs from the hashed workload, so this is
-    // a path rate, not a like-for-like speedup).
-    let fixed_jobs: Vec<PairJob> = jobs.iter().map(|j| j.with_seed(0.5)).collect();
-    let (fixed_seed_secs, _) = timed(|| batched(&engine_1t, &fixed_jobs, &query));
 
     for total in [
         total_batched,
@@ -251,14 +244,10 @@ fn main() {
 
     let kernel_generic_rate = pairs as f64 / kernel_generic_secs;
     let closed_over_generic = kernel_generic_secs / batched_secs;
-    let fixed_seed_rate = pairs as f64 / fixed_seed_secs;
     println!("\nkernel layer (same 10k-pair workload, 1 thread):");
     println!("  closed-form kernel    {batched_secs:>10.4}s  ({batched_rate:>12.0} pairs/s)");
     println!(
         "  generic quad kernel   {kernel_generic_secs:>10.4}s  ({kernel_generic_rate:>12.0} pairs/s)"
-    );
-    println!(
-        "  fixed-seed path       {fixed_seed_secs:>10.4}s  ({fixed_seed_rate:>12.0} pairs/s, no bulk hash)"
     );
     println!("  closed-form dispatch saves {closed_over_generic:>6.2}x");
     println!(
@@ -270,7 +259,7 @@ fn main() {
     let mut kout = std::fs::File::create(&kernels_path).expect("create BENCH_kernels.json");
     writeln!(
         kout,
-        "{{\n  \"bench\": \"engine_kernel_layer\",\n  \"workload\": \"rg1plus_sum\",\n  \"pairs\": {pairs},\n  \"items_per_pair\": {ITEMS_PER_INSTANCE},\n  \"closed_kernel_secs\": {batched_secs:.6},\n  \"closed_kernel_pairs_per_sec\": {batched_rate:.1},\n  \"generic_kernel_secs\": {kernel_generic_secs:.6},\n  \"generic_kernel_pairs_per_sec\": {kernel_generic_rate:.1},\n  \"closed_over_generic\": {closed_over_generic:.2},\n  \"fixed_seed_secs\": {fixed_seed_secs:.6},\n  \"fixed_seed_pairs_per_sec\": {fixed_seed_rate:.1},\n  \"seed_per_key_keys_per_sec\": {per_key_rate:.0},\n  \"seed_many_keys_per_sec\": {seed_many_rate:.0},\n  \"seed_many_lanes\": \"{seed_many_lanes}\",\n  \"seed_many_speedup\": {:.2}\n}}",
+        "{{\n  \"bench\": \"engine_kernel_layer\",\n  \"workload\": \"rg1plus_sum\",\n  \"pairs\": {pairs},\n  \"items_per_pair\": {ITEMS_PER_INSTANCE},\n  \"closed_kernel_secs\": {batched_secs:.6},\n  \"closed_kernel_pairs_per_sec\": {batched_rate:.1},\n  \"generic_kernel_secs\": {kernel_generic_secs:.6},\n  \"generic_kernel_pairs_per_sec\": {kernel_generic_rate:.1},\n  \"closed_over_generic\": {closed_over_generic:.2},\n  \"seed_per_key_keys_per_sec\": {per_key_rate:.0},\n  \"seed_many_keys_per_sec\": {seed_many_rate:.0},\n  \"seed_many_lanes\": \"{seed_many_lanes}\",\n  \"seed_many_speedup\": {:.2}\n}}",
         seed_many_rate / per_key_rate
     )
     .expect("write BENCH_kernels.json");

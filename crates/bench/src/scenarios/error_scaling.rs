@@ -5,14 +5,17 @@
 //! Fixes a per-item sampling scheme and sweeps the query-domain size,
 //! reporting the NRMSE of the L\* sum estimate and the fitted scaling
 //! exponent (expected ≈ −0.5). One sweep unit per domain size; each unit
-//! runs its 64 randomizations as one engine batch (closed-form L\*
-//! dispatch, one seed hash per item).
+//! runs its 64 randomizations as one engine batch of
+//! [`DomainSource`] jobs (closed-form L\* dispatch, one seed hash per
+//! item).
 
 use std::ops::Range;
 
 use monotone_coord::instance::Instance;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, EngineQuery, FinishOut, PairJob, Scenario, UnitOut};
+use monotone_engine::{
+    CsvSpec, DomainSource, Engine, EngineQuery, FinishOut, Scenario, SourceJob, UnitOut,
+};
 
 use crate::{fnum, table::Table};
 
@@ -75,8 +78,8 @@ impl Scenario for ErrorScaling {
             .map(|unit| {
                 let size = SIZES[unit];
                 let domain: Vec<u64> = (0..size).collect();
-                let jobs: Vec<PairJob> = (0..TRIALS)
-                    .map(|salt| PairJob::new(a, b, salt).with_domain(&domain))
+                let jobs: Vec<_> = (0..TRIALS)
+                    .map(|salt| SourceJob::new(DomainSource::new(&domain, vec![a, b]), salt))
                     .collect();
                 let batch = engine.run(&jobs, &query)?;
                 let e = batch.summaries[0].nrmse;

@@ -6,12 +6,13 @@
 //! coordinated PPS samples against independently-seeded samples. One
 //! sweep unit per drift level.
 //!
-//! Each drift cell runs as **one arity-N group job**: the engine streams
-//! the group's merged item union once ([`Engine::run_kernel`]) and
-//! an overlap kernel counts, per randomization, the coordinated and
-//! independent sample intersections/unions of every instance pair in the
-//! group — membership is re-derived per salt from the kernel's own seed
-//! hashers, so the job runs on the fixed-seed fast path (no bulk hash).
+//! Each drift cell runs as **one job over the pair's merged key union**
+//! (a [`SourceJob`] over a [`WeightMerger`]): the engine streams the
+//! union once ([`Engine::run_kernel`]) and an overlap kernel counts, per
+//! randomization, the coordinated and independent sample
+//! intersections/unions of the two instances — membership is re-derived
+//! per salt from the kernel's own seed hashers, so the job's own salt
+//! and the seeds the engine hashes under it are unused.
 //! The sampling semantics are exactly [`CoordPps::sample_instance`] /
 //! [`sample_instance_independent`]: item `k` is in instance `i`'s sample
 //! iff `w_i(k) ≥ u^(k) · τ*`.
@@ -21,13 +22,13 @@
 
 use std::ops::Range;
 
-use monotone_coord::instance::{Dataset, Instance};
+use monotone_coord::instance::{Dataset, Instance, WeightMerger};
 use monotone_coord::query::weighted_jaccard;
 use monotone_coord::seed::SeedHasher;
 use monotone_core::Result;
 use monotone_datagen::zipf::lognormal_factor;
 use monotone_engine::{
-    CsvSpec, Engine, EstimationKernel, FinishOut, GroupJob, KernelScratch, Scenario, UnitOut,
+    CsvSpec, Engine, EstimationKernel, FinishOut, KernelScratch, Scenario, SourceJob, UnitOut,
 };
 use rand::SeedableRng;
 
@@ -38,13 +39,12 @@ const ITEMS: u64 = 3000;
 const SALTS: u64 = 12;
 const SCALE: f64 = 5.0;
 
-/// Sample-overlap kernel over an instance pair within a group: for every
-/// randomization it emits four counting columns — coordinated
-/// intersection/union and independent intersection/union of the two
-/// instances' PPS samples. The job's stream provides the item union; the
-/// kernel re-derives per-salt membership from its own hashers, so the
-/// shared seed of the stream is unused (the scenario pins it with a
-/// fixed-seed job).
+/// Sample-overlap kernel over an instance pair: for every randomization
+/// it emits four counting columns — coordinated intersection/union and
+/// independent intersection/union of the two instances' PPS samples. The
+/// job's stream provides the item union; the kernel re-derives per-salt
+/// membership from its own hashers, so the shared seed the engine hashes
+/// for each item is unused.
 struct OverlapKernel {
     seeders: Vec<SeedHasher>,
     scale: f64,
@@ -161,9 +161,9 @@ impl Scenario for Lsh {
                 let dj = weighted_jaccard(&a, &b);
                 let data = Dataset::new(vec![a, b]);
 
-                // One group job per drift cell: the kernel ignores the
-                // stream seed, so the job is pinned (fixed-seed fast path).
-                let jobs = [GroupJob::new(data.instances(), 0).with_seed(1.0)];
+                // One job per drift cell: the kernel ignores the stream
+                // seed, so any salt counts the same overlaps.
+                let jobs = [SourceJob::new(WeightMerger::new(data.instances()), 0)];
                 let batch = engine.run_kernel(&jobs, &kernel)?;
                 let counts = &batch.pairs[0].estimates;
                 let mut coord = Vec::new();

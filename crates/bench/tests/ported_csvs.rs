@@ -110,6 +110,11 @@ fn multiway_regenerates_committed_csv() {
 }
 
 #[test]
+fn error_scaling_regenerates_committed_csv() {
+    assert_regenerates("error_scaling");
+}
+
+#[test]
 fn service_regenerates_committed_csv() {
     assert_regenerates("service");
 }

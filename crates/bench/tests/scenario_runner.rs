@@ -219,9 +219,10 @@ fn readme_table_and_ci_scenario_lists_match_the_registry() {
 
 /// A scenario must emit byte-identical CSV rows and report lines, and
 /// pass its paper-shape checks, at every shard × worker geometry of the
-/// full 1/2/4 × 1/2/4 grid. The group-job scenarios pin the `GroupJob`
-/// determinism contract; the known-data sweeps pin their worker-pool
-/// evaluation, whose report lines carry checks no CSV holds.
+/// full 1/2/4 × 1/2/4 grid. The group-job scenarios pin the determinism
+/// contract of `SourceJob`s over a `WeightMerger`; the known-data sweeps
+/// pin their worker-pool evaluation, whose report lines carry checks no
+/// CSV holds.
 fn assert_scenario_deterministic(name: &str) {
     let registry = scenarios::registry();
     let scenario = registry.get(name).expect("registered");

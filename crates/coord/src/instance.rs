@@ -179,6 +179,7 @@ pub fn merged_weights<'a>(
 /// assert_eq!(w, [0.4, 0.0, 0.1]);
 /// assert_eq!(merger.next_into(&mut w), None);
 /// ```
+#[derive(Debug, Clone)]
 pub struct WeightMerger<'a> {
     iters: Vec<std::iter::Peekable<std::collections::btree_map::Iter<'a, u64, f64>>>,
 }

@@ -8,10 +8,10 @@
 //! every function family, scheme, estimator set, **and arity**: the item
 //! stream hands each kernel one shared seed plus the item's weights in
 //! *every* instance of the job's group (a 2-slice for
-//! [`PairJob`](crate::PairJob)s, an N-slice for
-//! [`GroupJob`](crate::GroupJob)s). Workers share the kernel read-only
-//! and thread a [`KernelScratch`] through the item loop, so the hot path
-//! stays allocation-free.
+//! [`PairJob`](crate::PairJob)s, an N-slice for a
+//! [`SourceJob`](crate::SourceJob) over N instances). Workers share the
+//! kernel read-only and thread a [`KernelScratch`] through the item loop,
+//! so the hot path stays allocation-free.
 //!
 //! Three layers of customization:
 //!
@@ -492,9 +492,12 @@ impl KernelFunc for RangePowPlus {
     fn closed_forms(&self, scales: &[f64]) -> ClosedForms {
         // Degenerate scales register nothing — kernel construction reports
         // them as typed errors rather than closed-form constructor panics.
+        // Neither does a scale at or below `f64::MIN_POSITIVE`, the scale
+        // a lossless sketch reports: the closed forms compute `v / scale`,
+        // which overflows there, while the generic estimators stay exact.
         if scales.len() != 2
             || scales[0] != scales[1]
-            || !(scales[0].is_finite() && scales[0] > 0.0)
+            || !(scales[0].is_finite() && scales[0] > f64::MIN_POSITIVE)
         {
             return ClosedForms::none();
         }
@@ -812,6 +815,14 @@ mod tests {
         // Per-instance scales: the Example 4 derivations do not apply.
         let forms = RangePowPlus::new(1.0).closed_forms(&[1.0, 2.0]);
         assert_eq!(forms, ClosedForms::none());
+        // The lossless-sketch scale: `v / scale` would overflow.
+        for p in [1.0, 2.0] {
+            let tiny = [f64::MIN_POSITIVE; 2];
+            assert_eq!(
+                RangePowPlus::new(p).closed_forms(&tiny),
+                ClosedForms::none()
+            );
+        }
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! motivated precisely by running customized estimators over massive sketch
 //! collections. Coordination itself is arity-free — one shared hash seed
 //! per item drives the sampling of that item in *every* instance — so the
-//! engine's unit of work is an **instance group** of any arity:
-//! [`GroupJob`] bundles N instances with a randomization (or fixed probe
-//! seed) and an optional domain, and [`PairJob`] is the thin arity-2
-//! convenience the pair workloads keep using. The naive pattern — one
-//! [`Mep`] construction, one quadrature-backed estimate, one group at a
-//! time — re-derives the same per-MEP state for every outcome. The
-//! [`Engine`] amortizes that setup once per batch through a pluggable
-//! **kernel** layer:
+//! engine's unit of work is an **item stream under one salt**, whatever
+//! its arity. There are two job shapes: [`SourceJob`] runs any
+//! [`ItemSource`] (an N-instance group, an explicit key domain, a sketch
+//! union), and [`PairJob`] is the arity-2 specialization the pair
+//! workloads keep using. The naive pattern — one [`Mep`] construction,
+//! one quadrature-backed estimate, one group at a time — re-derives the
+//! same per-MEP state for every outcome. The [`Engine`] amortizes that
+//! setup once per batch through a pluggable **kernel** layer:
 //!
 //! * **kernels** — an [`EngineQuery`] builder selects a function family
 //!   ([`RGp+`](monotone_core::func::RangePowPlus), distinct-count OR at
@@ -35,24 +35,21 @@
 //! * **item sources** — every job streams its items through the same
 //!   stream protocol: a cursor yielding keys with one weight per instance
 //!   of the group, abstracted as [`ItemSource`]. [`WeightMerger`] is the
-//!   exact full-map source for arity-N groups (pairs and arity-2 groups
-//!   take [`merged_weights`], the tuple-yielding specialization that
-//!   keeps both weights in registers — the CI-gated hot path),
+//!   exact full-map source for arity-N groups (a [`PairJob`] takes
+//!   [`merged_weights`], the tuple-yielding specialization that keeps
+//!   both weights in registers — the CI-gated hot path),
 //!   [`DomainSource`] walks an explicit key domain, and [`SketchUnion`]
 //!   streams the retained union of N coordinated bottom-k sketches, whose
 //!   [`conditioned_scales`](SketchUnion::conditioned_scales) a query
 //!   compiles with ([`EngineQuery::with_instance_scales`]) so the kernels
 //!   apply the paper's inverse-probability correction for items the
-//!   sketches dropped, through the very same hot loop. Ad-hoc sources run
-//!   as [`SourceJob`]s through the same [`Engine::run`] /
-//!   [`Engine::run_kernel`] as pair and group jobs;
+//!   sketches dropped, through the very same hot loop;
 //! * **chunked hot loop** — whatever the source, its item stream is
 //!   staged into row-major `[item][instance]` chunks of 64 items, and
 //!   each chunk is processed by exactly two batch calls: one
 //!   [`SeedHasher::seed_many`] (the SplitMix64 stages run as wide
 //!   lanes — AVX-512 where the CPU has it, interleaved scalar
-//!   elsewhere, bit-identical either way; fixed-seed probe jobs skip
-//!   the hash entirely), then one
+//!   elsewhere, bit-identical either way), then one
 //!   [`evaluate_many`](EstimationKernel::evaluate_many). Kernel dispatch
 //!   is per **chunk**, not per item: when every estimator slot resolved
 //!   to a registered closed form, the threshold tests and estimates run
@@ -64,8 +61,8 @@
 //!   preassigned slots, so the output is identical for every thread count.
 //!
 //! ```
-//! use monotone_coord::instance::Instance;
-//! use monotone_engine::{Engine, EngineQuery, EstimatorKind, GroupJob, PairJob};
+//! use monotone_coord::instance::{Instance, WeightMerger};
+//! use monotone_engine::{Engine, EngineQuery, EstimatorKind, PairJob, SourceJob};
 //!
 //! let a = Instance::from_pairs((0..100u64).map(|k| (k, 0.2 + (k % 7) as f64 / 10.0)));
 //! let b = Instance::from_pairs((0..100u64).map(|k| (k, 0.2 + (k % 5) as f64 / 10.0)));
@@ -78,12 +75,14 @@
 //! assert_eq!(lstar.label, "L*");
 //! assert!(lstar.nrmse < 1.0);
 //!
-//! // Arity-N group jobs reach past pairs: a 3-instance distinct count
-//! // (how many items are active somewhere?) through the OR indicator's
-//! // N-way inverse-probability closed form.
+//! // Source jobs reach past pairs: a 3-instance distinct count (how many
+//! // items are active somewhere?) over the group's merged key union,
+//! // through the OR indicator's N-way inverse-probability closed form.
 //! let c = Instance::from_pairs((50..160u64).map(|k| (k, 0.3 + (k % 3) as f64 / 10.0)));
 //! let group = [a, b, c];
-//! let jobs: Vec<GroupJob> = (0..16).map(|salt| GroupJob::new(&group, salt)).collect();
+//! let jobs: Vec<_> = (0..16)
+//!     .map(|salt| SourceJob::new(WeightMerger::new(&group), salt))
+//!     .collect();
 //! let distinct = EngineQuery::distinct_k(3, 2.0);
 //! let batch = Engine::new().run(&jobs, &distinct).unwrap();
 //! assert_eq!(batch.pairs[0].truth, 160.0); // keys 0..160 active somewhere
@@ -111,7 +110,7 @@ pub use scenario::{CsvSpec, FinishOut, Registry, Scenario, UnitOut};
 
 pub use monotone_coord::source::{DomainSource, ItemSource, SketchUnion};
 
-use monotone_coord::instance::{merged_weights, Instance, WeightMerger};
+use monotone_coord::instance::{merged_weights, Instance};
 use monotone_coord::seed::SeedHasher;
 use monotone_core::func::{DistinctOr, LinearAbsPow, RangePowPlus};
 use monotone_core::quad::QuadConfig;
@@ -333,66 +332,17 @@ impl EngineQuery {
     }
 }
 
-/// One unit of work at any arity: an instance group, the randomization
-/// that seeds its coordinated sample, and an optional query domain.
+/// One unit of work at arity 2: an instance pair and the randomization
+/// that seeds its coordinated sample.
 ///
-/// The group borrows a contiguous instance slice — a
-/// [`Dataset`](monotone_coord::instance::Dataset)'s
-/// [`instances()`](monotone_coord::instance::Dataset::instances), or any
-/// locally built `[Instance]` array. [`PairJob`] is the arity-2
-/// convenience wrapper over the same execution path.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupJob<'a> {
-    /// The group's instances (entry `i` of every item tuple).
-    pub instances: &'a [Instance],
-    /// Salt of the shared seed hash — one coordinated sampling run.
-    pub salt: u64,
-    /// Fixed shared seed overriding the hash: every item of the group is
-    /// sampled at exactly this seed (`None` = hash per item key). The
-    /// probe-curve pattern: sweep estimate curves at chosen seeds.
-    pub seed: Option<f64>,
-    /// Restrict the sum aggregate to these keys (`None` = union of active
-    /// items).
-    pub domain: Option<&'a [u64]>,
-}
-
-impl<'a> GroupJob<'a> {
-    /// A job over the full union domain with hashed per-item seeds.
-    pub fn new(instances: &'a [Instance], salt: u64) -> GroupJob<'a> {
-        GroupJob {
-            instances,
-            salt,
-            seed: None,
-            domain: None,
-        }
-    }
-
-    /// Number of instances in the group.
-    pub fn arity(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Fixes the shared seed of every item (instead of hashing keys).
-    pub fn with_seed(mut self, seed: f64) -> GroupJob<'a> {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Restricts the query to a key domain.
-    pub fn with_domain(mut self, domain: &'a [u64]) -> GroupJob<'a> {
-        self.domain = Some(domain);
-        self
-    }
-}
-
-/// One unit of work at arity 2: an instance pair, the randomization that
-/// seeds its coordinated sample, and an optional query domain.
+/// This is the pair specialization of a [`SourceJob`] over a
+/// [`WeightMerger`]: it streams the pair's merged key union through
+/// [`merged_weights`], which keeps both weights in registers, and
+/// reproduces the generic job bit for bit (regression-tested). Pair
+/// workloads keep this shape so instances can be borrowed from anywhere
+/// (pools, registries) without materializing contiguous groups.
 ///
-/// This is the thin pair alias of [`GroupJob`]: both run the same kernel
-/// batch loop, and an arity-2 group over `[a, b]` reproduces a pair job
-/// bit for bit (regression-tested). Pair workloads keep this shape so
-/// instances can be borrowed from anywhere (pools, registries) without
-/// materializing contiguous groups.
+/// [`WeightMerger`]: monotone_coord::instance::WeightMerger
 #[derive(Debug, Clone, Copy)]
 pub struct PairJob<'a> {
     /// First instance (entry 1 of every item tuple).
@@ -401,37 +351,12 @@ pub struct PairJob<'a> {
     pub b: &'a Instance,
     /// Salt of the shared seed hash — one coordinated sampling run.
     pub salt: u64,
-    /// Fixed shared seed overriding the hash: every item of the pair is
-    /// sampled at exactly this seed (`None` = hash per item key). The
-    /// probe-curve pattern: sweep estimate curves at chosen seeds.
-    pub seed: Option<f64>,
-    /// Restrict the sum aggregate to these keys (`None` = union of active
-    /// items).
-    pub domain: Option<&'a [u64]>,
 }
 
 impl<'a> PairJob<'a> {
-    /// A job over the full union domain with hashed per-item seeds.
+    /// A job over the pair's merged key union with hashed per-item seeds.
     pub fn new(a: &'a Instance, b: &'a Instance, salt: u64) -> PairJob<'a> {
-        PairJob {
-            a,
-            b,
-            salt,
-            seed: None,
-            domain: None,
-        }
-    }
-
-    /// Fixes the shared seed of every item (instead of hashing keys).
-    pub fn with_seed(mut self, seed: f64) -> PairJob<'a> {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Restricts the query to a key domain.
-    pub fn with_domain(mut self, domain: &'a [u64]) -> PairJob<'a> {
-        self.domain = Some(domain);
-        self
+        PairJob { a, b, salt }
     }
 }
 
@@ -439,49 +364,40 @@ impl<'a> PairJob<'a> {
 /// stream cursor plus the randomization its coordinated sample was (or
 /// is to be) drawn under.
 ///
-/// This is how sketch-backed streams ([`SketchUnion`]) and other ad-hoc
-/// sources enter the batch engine: workers clone the cursor, so one
-/// prepared source fans out to any number of jobs. The salt **must** be
-/// the salt the source's sample was built with — a sketch stores items
-/// selected by one concrete randomization, and evaluating it under
-/// another would decouple the seeds from the retention decisions.
+/// Every input besides a plain pair enters the batch engine this way: an
+/// arity-N group is `SourceJob::new(WeightMerger::new(group), salt)`, a
+/// key domain is `SourceJob::new(DomainSource::new(keys, instances),
+/// salt)`, and a sketch-backed stream is a [`SketchUnion`]. Workers clone
+/// the cursor, so one prepared source fans out to any number of jobs. For
+/// a sketch-backed source the salt **must** be the salt the sketches were
+/// built with — a sketch stores items selected by one concrete
+/// randomization, and evaluating it under another would decouple the
+/// seeds from the retention decisions.
 #[derive(Debug, Clone)]
 pub struct SourceJob<S> {
     /// The un-advanced item stream (cloned per execution).
     pub source: S,
     /// Salt of the shared seed hash the stream's sampling used.
     pub salt: u64,
-    /// Fixed shared seed overriding the hash (`None` = hash per key).
-    pub seed: Option<f64>,
 }
 
 impl<S: ItemSource> SourceJob<S> {
     /// A job over `source` under the seed-hash salt `salt`.
     pub fn new(source: S, salt: u64) -> SourceJob<S> {
-        SourceJob {
-            source,
-            salt,
-            seed: None,
-        }
+        SourceJob { source, salt }
     }
 
     /// Number of instances in the source's group.
     pub fn arity(&self) -> usize {
         self.source.arity()
     }
-
-    /// Fixes the shared seed of every item (instead of hashing keys).
-    pub fn with_seed(mut self, seed: f64) -> SourceJob<S> {
-        self.seed = Some(seed);
-        self
-    }
 }
 
 /// A job [`Engine::run`] and [`Engine::run_kernel`] accept: a
-/// [`PairJob`], a [`GroupJob`] or a [`SourceJob`]. The trait is sealed —
-/// those three are its only implementations — so it names the engine's
-/// job shapes rather than opening an extension point; new inputs enter
-/// as [`ItemSource`]s inside a `SourceJob`.
+/// [`PairJob`] or a [`SourceJob`]. The trait is sealed — those two are
+/// its only implementations — so it names the engine's job shapes rather
+/// than opening an extension point; new inputs enter as [`ItemSource`]s
+/// inside a `SourceJob`.
 pub trait Job: Sync + sealed::Sealed {
     /// Runs this one job through `kernel`, whose label count is `width`
     /// (what each worker of a batch does per job).
@@ -492,28 +408,21 @@ pub trait Job: Sync + sealed::Sealed {
 mod sealed {
     pub trait Sealed {}
     impl Sealed for super::PairJob<'_> {}
-    impl Sealed for super::GroupJob<'_> {}
     impl<S> Sealed for super::SourceJob<S> {}
 }
 
 impl Job for PairJob<'_> {
     fn execute(&self, kernel: &dyn EstimationKernel, width: usize) -> Result<PairResult> {
-        let pair = [self.a, self.b];
-        run_instances(kernel, width, &pair, self.salt, self.seed, self.domain)
-    }
-}
-
-impl Job for GroupJob<'_> {
-    fn execute(&self, kernel: &dyn EstimationKernel, width: usize) -> Result<PairResult> {
-        let instances: Vec<&Instance> = self.instances.iter().collect();
-        run_instances(kernel, width, &instances, self.salt, self.seed, self.domain)
+        run_job(kernel, width, 2, self.salt, |run| {
+            stream_pairs_into_run(run, merged_weights(self.a, self.b))
+        })
     }
 }
 
 impl<S: ItemSource + Clone + Sync> Job for SourceJob<S> {
     fn execute(&self, kernel: &dyn EstimationKernel, width: usize) -> Result<PairResult> {
         let mut source = self.source.clone();
-        run_job(kernel, width, source.arity(), self.salt, self.seed, |run| {
+        run_job(kernel, width, source.arity(), self.salt, |run| {
             stream_into_run(run, &mut source)
         })
     }
@@ -596,7 +505,7 @@ impl Engine {
         self.threads
     }
 
-    /// Runs a batch of [`PairJob`]s, [`GroupJob`]s or [`SourceJob`]s:
+    /// Runs a batch of [`PairJob`]s or [`SourceJob`]s:
     /// every job through every estimator of the query, with the query
     /// compiled into its kernel once ([`EngineQuery::kernel`]) and shared
     /// read-only by the workers.
@@ -667,8 +576,7 @@ impl Default for Engine {
 const SEED_CHUNK: usize = 64;
 
 /// Item staging buffers for one job: keys and per-instance weights stream
-/// in, seeds are hashed in bulk ([`SeedHasher::seed_many`]) — or filled
-/// once on the fixed-seed path, which never touches the hash — and the
+/// in, seeds are hashed in bulk ([`SeedHasher::seed_many`]), and the
 /// kernel evaluates the chunk. Keys and seeds are stack arrays; the
 /// weight staging is one arity-sized flat buffer allocated once per job.
 struct ChunkBufs {
@@ -722,7 +630,6 @@ impl ChunkBufs {
 struct JobRun<'k> {
     kernel: &'k dyn EstimationKernel,
     seeder: SeedHasher,
-    fixed_seed: bool,
     bufs: ChunkBufs,
     scratch: KernelScratch,
     estimates: Vec<f64>,
@@ -732,19 +639,16 @@ struct JobRun<'k> {
 
 impl JobRun<'_> {
     /// Flushes the staged chunk: one bulk seed hash
-    /// ([`SeedHasher::seed_many`] — skipped on the fixed-seed path), then
-    /// ONE [`evaluate_many`](EstimationKernel::evaluate_many) call, so
-    /// virtual kernel dispatch happens once per chunk rather than once
-    /// per item.
+    /// ([`SeedHasher::seed_many`]), then ONE
+    /// [`evaluate_many`](EstimationKernel::evaluate_many) call, so virtual
+    /// kernel dispatch happens once per chunk rather than once per item.
     fn flush(&mut self) -> Result<()> {
         let n = self.bufs.len;
         if n == 0 {
             return Ok(());
         }
-        if !self.fixed_seed {
-            self.seeder
-                .seed_many(&self.bufs.keys[..n], &mut self.bufs.seeds[..n]);
-        }
+        self.seeder
+            .seed_many(&self.bufs.keys[..n], &mut self.bufs.seeds[..n]);
         self.sampled_items += self.kernel.evaluate_many(
             &self.bufs.keys[..n],
             &self.bufs.weights[..n * self.bufs.arity],
@@ -768,24 +672,16 @@ fn run_job<'k>(
     width: usize,
     arity: usize,
     salt: u64,
-    seed: Option<f64>,
     stream: impl FnOnce(&mut JobRun<'k>) -> Result<()>,
 ) -> Result<PairResult> {
     if let Some(expected) = kernel.arity().filter(|&expected| expected != arity) {
         let got = arity;
         return Err(monotone_core::Error::ArityMismatch { expected, got });
     }
-    let mut bufs = ChunkBufs::new(arity);
-    if let Some(u) = seed {
-        // Fixed-seed jobs (probe curves) never hash: the seed buffer is
-        // filled once here and reused by every chunk.
-        bufs.seeds.fill(u);
-    }
     let mut run = JobRun {
         kernel,
         seeder: SeedHasher::new(salt),
-        fixed_seed: seed.is_some(),
-        bufs,
+        bufs: ChunkBufs::new(arity),
         scratch: KernelScratch::new(),
         estimates: vec![0.0; width],
         truth: 0.0,
@@ -817,7 +713,7 @@ fn check_weight(key: u64, w: f64) -> Result<()> {
     }
 }
 
-/// The one streaming loop every job shape runs: drain an [`ItemSource`]
+/// The streaming loop of a [`SourceJob`]: drain its [`ItemSource`]
 /// into the job's staging buffers, validating weights, accumulating the
 /// stream truth, and flushing full chunks through the two batch calls.
 /// Items with no active weight anywhere (all entries `<= 0`, as an
@@ -844,7 +740,7 @@ fn stream_into_run<S: ItemSource + ?Sized>(run: &mut JobRun<'_>, source: &mut S)
     Ok(())
 }
 
-/// The arity-2 specialization of [`stream_into_run`]: the identical
+/// The [`PairJob`] specialization of [`stream_into_run`]: the identical
 /// protocol (validate, skip inactive, accumulate truth, stage, flush),
 /// but over a tuple-yielding merged stream ([`merged_weights`]) instead
 /// of a buffer-filling [`ItemSource`]. Yielding `(key, wa, wb)` by value
@@ -868,28 +764,6 @@ fn stream_pairs_into_run(
         }
     }
     Ok(())
-}
-
-/// Executes one instance-group job (a [`PairJob`] or a [`GroupJob`]):
-/// the group's merged item union through [`stream_pairs_into_run`] over
-/// [`merged_weights`] at arity 2 (the register-resident hot path) or
-/// [`WeightMerger`] at any other arity, or a [`DomainSource`] through
-/// [`stream_into_run`] when the job restricts the domain.
-fn run_instances(
-    kernel: &dyn EstimationKernel,
-    width: usize,
-    group: &[&Instance],
-    salt: u64,
-    seed: Option<f64>,
-    domain: Option<&[u64]>,
-) -> Result<PairResult> {
-    run_job(kernel, width, group.len(), salt, seed, |run| {
-        match (domain, group) {
-            (Some(keys), _) => stream_into_run(run, &mut DomainSource::new(keys, group.to_vec())),
-            (None, &[a, b]) => stream_pairs_into_run(run, merged_weights(a, b)),
-            (None, _) => stream_into_run(run, &mut WeightMerger::new(group.iter().copied())),
-        }
-    })
 }
 
 fn summarize(labels: Vec<String>, pairs: Vec<PairResult>) -> BatchResult {

@@ -20,9 +20,9 @@
 //! assert!(std::ptr::eq(jobs[0].a, &pool[0]));
 //! ```
 
-use monotone_coord::instance::Instance;
+use monotone_coord::instance::{Instance, WeightMerger};
 
-use super::{GroupJob, PairJob};
+use super::{PairJob, SourceJob};
 
 /// A pool of `instances` reproducible instances of `items_per_instance`
 /// items each, with weights laid out on a fixed mod-97 lattice (the same
@@ -145,12 +145,16 @@ pub fn planted_pair_pool(instances: u64, items_per_instance: u64, period: u64) -
         .collect()
 }
 
-/// `randomizations` group jobs over one instance group, salted
-/// `salt_base..salt_base + randomizations` — one coordinated sampling
-/// run per job.
-pub fn group_jobs(group: &[Instance], randomizations: u64, salt_base: u64) -> Vec<GroupJob<'_>> {
+/// `randomizations` jobs over one instance group's merged key union,
+/// salted `salt_base..salt_base + randomizations` — one coordinated
+/// sampling run per job.
+pub fn group_jobs(
+    group: &[Instance],
+    randomizations: u64,
+    salt_base: u64,
+) -> Vec<SourceJob<WeightMerger<'_>>> {
     (0..randomizations)
-        .map(|r| GroupJob::new(group, salt_base + r))
+        .map(|r| SourceJob::new(WeightMerger::new(group), salt_base + r))
         .collect()
 }
 
@@ -192,7 +196,12 @@ mod tests {
         assert_eq!(jobs.len(), 5);
         assert_eq!(jobs[3].salt, 103);
         assert_eq!(jobs[0].arity(), 4);
-        assert!(std::ptr::eq(jobs[0].instances.as_ptr(), group.as_ptr()));
+        // Every job streams the whole group's key union from the start.
+        let mut w = [0.0; 4];
+        let mut source = jobs[4].source.clone();
+        assert_eq!(source.next_into(&mut w), Some(0));
+        assert_eq!(w, [group[0].weight(0), 0.0, 0.0, 0.0]);
+        assert_eq!(std::iter::from_fn(|| source.next_into(&mut w)).count(), 29);
     }
 
     #[test]

@@ -2,16 +2,14 @@
 //! result is checked against the per-call `query::estimate_sum` path, and
 //! results must be identical for every worker count.
 
-use monotone_coord::instance::{Dataset, Instance};
+use monotone_coord::instance::{merged_weights, Dataset, Instance, WeightMerger};
 use monotone_coord::pps::CoordPps;
 use monotone_coord::query::{estimate_sum, exact_sum};
 use monotone_coord::seed::SeedHasher;
 use monotone_core::estimate::{DyadicJ, HorvitzThompson, LStar, RgPlusLStar, RgPlusUStar};
 use monotone_core::func::{DistinctOr, RangePowPlus};
 use monotone_core::quad::QuadConfig;
-use monotone_engine::{
-    DomainSource, Engine, EngineQuery, EstimatorKind, GroupJob, PairJob, SourceJob,
-};
+use monotone_engine::{DomainSource, Engine, EngineQuery, EstimatorKind, PairJob, SourceJob};
 
 fn instance_pair(n: u64) -> (Instance, Instance) {
     let a = Instance::from_pairs((0..n).map(|k| (k, 0.1 + 0.8 * ((k * 13 % 101) as f64 / 101.0))));
@@ -91,8 +89,8 @@ fn domain_restriction_matches_per_call_path() {
     let data = Dataset::new(vec![a.clone(), b.clone()]);
     let f = RangePowPlus::new(1.0);
     let domain: Vec<u64> = (0..50).collect();
-    let jobs: Vec<PairJob> = (0..4)
-        .map(|salt| PairJob::new(&a, &b, salt).with_domain(&domain))
+    let jobs: Vec<_> = (0..4)
+        .map(|salt| SourceJob::new(DomainSource::new(&domain, vec![&a, &b]), salt))
         .collect();
     let query = EngineQuery::rg_plus(1.0, 1.0);
     let batch = Engine::with_threads(2).run(&jobs, &query).unwrap();
@@ -176,24 +174,26 @@ fn with_estimators_dedups_repeated_kinds() {
 }
 
 #[test]
-fn fixed_seed_jobs_sample_every_item_at_that_seed() {
-    // A with_seed job must behave exactly like hashing if every item's
-    // hashed seed were the fixed value: compare against estimate_values
-    // at the shared probe seed.
+fn pair_jobs_sample_every_item_at_its_hashed_seed() {
+    // A pair job samples every item of the merged stream at its per-key
+    // seed under the job salt: pinned bit-identically against a
+    // hand-rolled estimate_values loop, at the extreme salts too.
     let (a, b) = instance_pair(80);
     let closed = RgPlusLStar::new(1, 1.0);
-    for &u in &[0.05, 0.35, 0.75, 1.0] {
-        let jobs = [PairJob::new(&a, &b, 9).with_seed(u)];
+    for salt in [0, 9, 77, u64::MAX] {
+        let jobs = [PairJob::new(&a, &b, salt)];
         let query = EngineQuery::rg_plus(1.0, 1.0);
         let batch = Engine::with_threads(2).run(&jobs, &query).unwrap();
-        let expect: f64 = monotone_coord::instance::merged_weights(&a, &b)
-            .map(|(_, wa, wb)| {
+        let seeder = SeedHasher::new(salt);
+        let expect: f64 = merged_weights(&a, &b)
+            .map(|(k, wa, wb)| {
+                let u = seeder.seed(k);
                 let v1 = (wa > 0.0 && wa >= u).then_some(wa);
                 let v2 = (wb > 0.0 && wb >= u).then_some(wb);
                 closed.estimate_values(v1, v2, u)
             })
             .sum();
-        assert_eq!(batch.pairs[0].estimates[0], expect, "u={u}");
+        assert_eq!(batch.pairs[0].estimates[0], expect, "salt={salt}");
     }
 }
 
@@ -203,7 +203,7 @@ fn distinct_query_counts_active_union() {
     // closed form; the truth is the union size and the mean estimate over
     // many randomizations approaches it.
     let (a, b) = instance_pair(300);
-    let union = monotone_coord::instance::merged_weights(&a, &b).count() as f64;
+    let union = merged_weights(&a, &b).count() as f64;
     let jobs: Vec<PairJob> = (0..48).map(|salt| PairJob::new(&a, &b, salt)).collect();
     let query = EngineQuery::distinct(2.0);
     let batch = Engine::new().run(&jobs, &query).unwrap();
@@ -232,42 +232,41 @@ fn engine_empty_batch_is_defined() {
         batch.summaries
     );
     assert_eq!(batch.total_sampled_items, 0);
-    // Same contract on the group path and for custom-width kernels.
+    // Same contract on the source path and for custom-width kernels.
     let batch = Engine::with_threads(4)
-        .run::<GroupJob>(&[], &EngineQuery::distinct_k(3, 1.0))
+        .run::<SourceJob<WeightMerger>>(&[], &EngineQuery::distinct_k(3, 1.0))
         .unwrap();
     assert!(batch.pairs.is_empty() && batch.summaries.is_empty());
 }
 
 #[test]
 fn arity2_group_jobs_reproduce_pair_jobs_bitwise() {
-    // The GroupJob path (N-way merge cursor) and the PairJob path (pair
+    // The generic source path (N-way merge cursor, or an explicit domain
+    // listing the union in ascending order) and the PairJob path (pair
     // merge) must produce bit-identical batches at arity 2 — including
-    // summaries — for hashed, fixed-seed, and domain-restricted jobs.
+    // summaries.
     let (a, b) = instance_pair(250);
-    let group = [a.clone(), b.clone()];
-    let domain: Vec<u64> = (40..160).collect();
+    let union: Vec<u64> = merged_weights(&a, &b).map(|(k, _, _)| k).collect();
     let query = EngineQuery::rg_plus(1.0, 1.0).with_estimators(&[
         EstimatorKind::LStar,
         EstimatorKind::UStar,
         EstimatorKind::HorvitzThompson,
         EstimatorKind::DyadicJ,
     ]);
-    let pair_jobs: Vec<PairJob> = (0..9)
-        .map(|salt| PairJob::new(&a, &b, salt))
-        .chain([PairJob::new(&a, &b, 3).with_seed(0.4)])
-        .chain([PairJob::new(&a, &b, 5).with_domain(&domain)])
+    let pair_jobs: Vec<PairJob> = (0..9).map(|salt| PairJob::new(&a, &b, salt)).collect();
+    let group_jobs: Vec<_> = (0..9)
+        .map(|salt| SourceJob::new(WeightMerger::new([&a, &b]), salt))
         .collect();
-    let group_jobs: Vec<GroupJob> = (0..9)
-        .map(|salt| GroupJob::new(&group, salt))
-        .chain([GroupJob::new(&group, 3).with_seed(0.4)])
-        .chain([GroupJob::new(&group, 5).with_domain(&domain)])
+    let domain_jobs: Vec<_> = (0..9)
+        .map(|salt| SourceJob::new(DomainSource::new(&union, vec![&a, &b]), salt))
         .collect();
     for threads in [1, 3] {
         let engine = Engine::with_threads(threads);
         let pair_batch = engine.run(&pair_jobs, &query).unwrap();
         let group_batch = engine.run(&group_jobs, &query).unwrap();
         assert_eq!(pair_batch, group_batch, "threads={threads}");
+        let domain_batch = engine.run(&domain_jobs, &query).unwrap();
+        assert_eq!(pair_batch, domain_batch, "threads={threads}");
     }
 }
 
@@ -284,8 +283,8 @@ fn three_way_distinct_matches_per_call_path() {
     let data = Dataset::new(vec![a, b, c]);
     let scale = 2.0;
     let quad = QuadConfig::fast();
-    let jobs: Vec<GroupJob> = (0..6)
-        .map(|salt| GroupJob::new(data.instances(), salt))
+    let jobs: Vec<_> = (0..6)
+        .map(|salt| SourceJob::new(WeightMerger::new(data.instances()), salt))
         .collect();
     let query = EngineQuery::distinct_k(3, scale).with_quad(quad);
     let closed = Engine::with_threads(2).run(&jobs, &query).unwrap();
@@ -314,10 +313,10 @@ fn three_way_distinct_matches_per_call_path() {
 }
 
 #[test]
-fn group_fixed_seed_jobs_sample_every_item_at_that_seed() {
-    // The fixed-seed (probe-curve) path never hashes: every item of the
-    // group samples at exactly the probe seed — pinned bit-identically
-    // against a hand-rolled closed-form loop, at several worker counts.
+fn group_source_jobs_sample_every_item_at_its_hashed_seed() {
+    // A group's source job samples every item of the merged union at its
+    // per-key seed under the job salt: pinned bit-identically against a
+    // hand-rolled closed-form loop, at the extreme salts too.
     let a =
         Instance::from_pairs((0..90u64).map(|k| (k, 0.1 + 0.8 * ((k * 13 % 101) as f64 / 101.0))));
     let b = Instance::from_pairs(
@@ -329,15 +328,17 @@ fn group_fixed_seed_jobs_sample_every_item_at_that_seed() {
     let group = [a, b, c];
     let data = Dataset::new(group.to_vec());
     let scale = 1.5;
-    for &u in &[0.05, 0.35, 0.75, 1.0] {
-        let jobs = [GroupJob::new(&group, 9).with_seed(u)];
+    for salt in [0, 9, 77, u64::MAX] {
+        let jobs = [SourceJob::new(WeightMerger::new(&group), salt)];
         let query = EngineQuery::distinct_k(3, scale);
         let batch = Engine::with_threads(2).run(&jobs, &query).unwrap();
+        let seeder = SeedHasher::new(salt);
         let mut tuple = vec![0.0; data.arity()];
         let expect: f64 = data
             .union_keys()
             .iter()
             .map(|&k| {
+                let u = seeder.seed(k);
                 data.tuple_into(k, &mut tuple);
                 let q = tuple
                     .iter()
@@ -351,7 +352,7 @@ fn group_fixed_seed_jobs_sample_every_item_at_that_seed() {
                 }
             })
             .sum();
-        assert_eq!(batch.pairs[0].estimates[0], expect, "u={u}");
+        assert_eq!(batch.pairs[0].estimates[0], expect, "salt={salt}");
     }
 }
 
@@ -361,7 +362,7 @@ fn group_arity_must_match_query_arity() {
     // stream truncated weight tuples.
     let (a, b) = instance_pair(20);
     let group = [a, b];
-    let jobs = [GroupJob::new(&group, 0)];
+    let jobs = [SourceJob::new(WeightMerger::new(&group), 0)];
     let err = Engine::with_threads(1)
         .run(&jobs, &EngineQuery::distinct_k(3, 1.0))
         .unwrap_err();
@@ -407,7 +408,7 @@ fn negative_raw_weights_are_typed_errors_not_misestimates() {
     // whenever the partner entry was positive — a silent misestimate for
     // raw-ingested (unvalidated) instances. Every route (pair + group,
     // merged union + explicit domain) must instead report the item as a
-    // typed InvalidWeight error; so must a source job.
+    // typed InvalidWeight error.
     let mut poisoned = Instance::from_pairs([(0u64, 0.6), (2, 0.4)]);
     poisoned.set_raw(1, -0.3); // raw ingest: negative weight stored verbatim
     let clean = Instance::from_pairs([(0u64, 0.5), (1, 0.9), (2, 0.2)]);
@@ -418,10 +419,11 @@ fn negative_raw_weights_are_typed_errors_not_misestimates() {
     };
     let engine = Engine::with_threads(1);
 
-    // Pair path, explicit domain (the originally reported route): the
-    // partner weight 0.9 is positive, so the item used to stream through.
+    // Pair explicit domain (the originally reported route): the partner
+    // weight 0.9 is positive, so the item used to stream through.
     let domain = [0u64, 1, 2];
-    let jobs = [PairJob::new(&poisoned, &clean, 7).with_domain(&domain)];
+    let source = DomainSource::new(&domain, vec![&poisoned, &clean]);
+    let jobs = [SourceJob::new(source, 7)];
     assert_eq!(engine.run(&jobs, &query).unwrap_err(), expected);
 
     // Pair path, merged union stream.
@@ -431,15 +433,11 @@ fn negative_raw_weights_are_typed_errors_not_misestimates() {
     // Group path, explicit domain and merged union.
     let group = [poisoned.clone(), clean.clone(), clean.clone()];
     let gquery = EngineQuery::distinct_k(3, 1.0);
-    let jobs = [GroupJob::new(&group, 7).with_domain(&domain)];
-    assert_eq!(engine.run(&jobs, &gquery).unwrap_err(), expected);
-    let jobs = [GroupJob::new(&group, 7)];
-    assert_eq!(engine.run(&jobs, &gquery).unwrap_err(), expected);
-
-    // Source path: the same explicit domain as an ItemSource.
-    let source = DomainSource::new(&domain, vec![&poisoned, &clean]);
+    let source = DomainSource::new(&domain, group.iter().collect());
     let jobs = [SourceJob::new(source, 7)];
-    assert_eq!(engine.run(&jobs, &query).unwrap_err(), expected);
+    assert_eq!(engine.run(&jobs, &gquery).unwrap_err(), expected);
+    let jobs = [SourceJob::new(WeightMerger::new(&group), 7)];
+    assert_eq!(engine.run(&jobs, &gquery).unwrap_err(), expected);
 
     // Non-finite raw weights are rejected the same way.
     let mut nan_inst = Instance::from_pairs([(0u64, 0.6)]);

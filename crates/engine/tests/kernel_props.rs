@@ -4,10 +4,10 @@
 //! refactor-correctness contract behind the engine's byte-identical-CSV
 //! guarantee.
 
-use monotone_coord::instance::{merged_weights, Instance};
+use monotone_coord::instance::{merged_weights, Instance, WeightMerger};
 use monotone_coord::seed::SeedHasher;
 use monotone_core::estimate::{RgPlusLStar, RgPlusUStar};
-use monotone_engine::{Engine, EngineQuery, EstimatorKind, GroupJob, PairJob};
+use monotone_engine::{Engine, EngineQuery, EstimatorKind, PairJob, SourceJob};
 use proptest::prelude::*;
 
 /// Sparse weight maps mixing sub-scale and truncated (above-scale)
@@ -66,28 +66,21 @@ proptest! {
         }
     }
 
-    /// An arity-2 GroupJob must reproduce the corresponding PairJob batch
-    /// **exactly** (bitwise-equal results and summaries): the N-way merge
-    /// cursor and the pair merge walk the same item stream through the
-    /// same kernel arithmetic — across weights, salts, scales, fixed
-    /// probe seeds, and worker counts.
+    /// An arity-2 source job over a [`WeightMerger`] must reproduce the
+    /// corresponding PairJob batch **exactly** (bitwise-equal results and
+    /// summaries): the N-way merge cursor and the pair specialization walk
+    /// the same item stream through the same kernel arithmetic — across
+    /// weights, salts, scales, and worker counts.
     #[test]
     fn arity2_group_job_reproduces_pair_job_exactly(
         a in instance_strategy(),
         b in instance_strategy(),
         salt in any::<u64>(),
         scale_idx in 1u32..=4,
-        probe in 0u32..=20, // 0 = hashed seeds, 1..=20 = fixed probe seed p/20
     ) {
         let scale = scale_idx as f64 / 2.0;
-        let group = [a.clone(), b.clone()];
-        let (mut pair_job, mut group_job) =
-            (PairJob::new(&a, &b, salt), GroupJob::new(&group, salt));
-        if probe > 0 {
-            let u = probe as f64 / 20.0;
-            pair_job = pair_job.with_seed(u);
-            group_job = group_job.with_seed(u);
-        }
+        let pair_jobs = [PairJob::new(&a, &b, salt)];
+        let group_jobs = [SourceJob::new(WeightMerger::new([&a, &b]), salt)];
         for query in [
             EngineQuery::rg_plus(1.0, scale)
                 .with_estimators(&[EstimatorKind::LStar, EstimatorKind::UStar]),
@@ -95,8 +88,8 @@ proptest! {
         ] {
             for threads in [1, 3] {
                 let engine = Engine::with_threads(threads);
-                let from_pair = engine.run(&[pair_job], &query).unwrap();
-                let from_group = engine.run(&[group_job], &query).unwrap();
+                let from_pair = engine.run(&pair_jobs, &query).unwrap();
+                let from_group = engine.run(&group_jobs, &query).unwrap();
                 prop_assert_eq!(
                     &from_pair, &from_group,
                     "pair and group batches diverged (threads={})", threads
@@ -205,7 +198,7 @@ proptest! {
                 if probe == 0 {
                     seeder.seed_many(&keys, &mut seeds);
                 } else {
-                    seeds.fill(probe as f64 / 20.0); // fixed-seed probe path
+                    seeds.fill(probe as f64 / 20.0); // every item at one probe seed
                 }
                 let mut scratch = KernelScratch::new();
                 let (mut out_many, mut out_item) = (vec![0.0; width], vec![0.0; width]);

@@ -563,6 +563,7 @@ mod tests {
     use monotone_coord::bottomk::BottomK;
     use monotone_coord::instance::Instance;
     use monotone_coord::seed::SeedHasher;
+    use monotone_engine::EstimatorKind;
 
     fn instance(lo: u64, hi: u64, w: impl Fn(u64) -> f64) -> Vec<(u64, f64)> {
         (lo..hi).map(|k| (k, w(k))).collect()
@@ -647,6 +648,36 @@ mod tests {
         let est = store.query_group(&engine, &query, &[0, 1]).unwrap();
         assert_eq!(est.estimates[0], 140.0);
         assert_eq!(est.retained_truth, 140.0);
+    }
+
+    #[test]
+    fn full_k_rg_plus_is_finite_and_exact() {
+        // Lossless sketches report the scale `f64::MIN_POSITIVE`, under
+        // which the RG+ closed forms overflow (`v / scale`) to inf or
+        // NaN; the query must run the generic estimators and stay exact.
+        let store = SketchStore::new(32, 7);
+        let w0 = |k: u64| 1.0 + 2.5 * (k % 4) as f64;
+        let w1 = |k: u64| 0.5 + 3.0 * (k % 3) as f64;
+        store.ingest_all(0, instance(0, 10, w0)).unwrap();
+        store.ingest_all(1, instance(5, 15, w1)).unwrap();
+        let engine = Engine::with_threads(1);
+        let kinds = [
+            EstimatorKind::LStar,
+            EstimatorKind::UStar,
+            EstimatorKind::HorvitzThompson,
+        ];
+        // Σ_k max(0, w0(k) − w1(k))^p over keys 0..15, by hand.
+        for (p, truth) in [(1.0, 33.5), (2.0, 186.75)] {
+            let query = EngineQuery::rg_plus(p, 1.0).with_estimators(&kinds);
+            let est = store.query_group(&engine, &query, &[0, 1]).unwrap();
+            for (kind, e) in kinds.iter().zip(&est.estimates) {
+                assert!(
+                    e.is_finite() && (e - truth).abs() <= 1e-9 * truth,
+                    "p={p} {}: {e} vs truth {truth}",
+                    kind.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! 1. **Lossless sketches are a pure re-route**: with k at least the
 //!    union size nothing is evicted, so a [`SketchUnion`] streamed as a
 //!    [`SourceJob`] through [`Engine::run`] must reproduce the exact
-//!    [`GroupJob`] batch bit for bit — same estimates, same truth, same
-//!    sampled counts (pinned-seed proptest).
+//!    batch over the instances' [`WeightMerger`] bit for bit — same
+//!    estimates, same truth, same sampled counts (pinned-seed proptest).
 //! 2. **Lossy sketches converge**: on the E8-family RG1+ workload
 //!    ([`workload::rg1_instance_pool`]), the store's inverse-probability
 //!    corrected estimates approach the exact aggregate as k grows.
 
 use monotone_coord::bottomk::{BottomK, BottomKSample};
-use monotone_coord::instance::Instance;
+use monotone_coord::instance::{Instance, WeightMerger};
 use monotone_coord::seed::SeedHasher;
 use monotone_coord::source::SketchUnion;
-use monotone_engine::{workload, Engine, EngineQuery, EstimatorKind, GroupJob, SourceJob};
+use monotone_engine::{workload, Engine, EngineQuery, EstimatorKind, PairJob, SourceJob};
 use monotone_store::SketchStore;
 use proptest::prelude::*;
 
@@ -36,8 +36,8 @@ proptest! {
 
     /// k ≥ union size ⇒ the sketch-union source is the exact source: the
     /// full [`BatchResult`]s must be equal (estimates bit for bit),
-    /// across weights, salts, scales, probe seeds, arities 2 and 3,
-    /// RG1+ and distinct families, and worker counts.
+    /// across weights, salts, scales, arities 2 and 3, RG1+ and distinct
+    /// families, and worker counts.
     #[test]
     fn full_k_sketch_union_is_bit_identical_to_group_jobs(
         a in instance_strategy(),
@@ -45,7 +45,6 @@ proptest! {
         c in instance_strategy(),
         salt in any::<u64>(),
         scale_idx in 1u32..=4,
-        probe in 0u32..=20, // 0 = hashed seeds, 1..=20 = fixed probe seed p/20
     ) {
         let scale = scale_idx as f64 / 2.0;
         let pair_group = [a.clone(), b.clone()];
@@ -65,17 +64,12 @@ proptest! {
         for (group, query) in cases {
             let sketches: Vec<BottomKSample> =
                 group.iter().map(|i| lossless_sketch(i, k, salt)).collect();
-            let mut group_job = GroupJob::new(group, salt);
-            let mut source_job = SourceJob::new(SketchUnion::new(&sketches), salt);
-            if probe > 0 {
-                let u = probe as f64 / 20.0;
-                group_job = group_job.with_seed(u);
-                source_job = source_job.with_seed(u);
-            }
+            let group_jobs = [SourceJob::new(WeightMerger::new(group), salt)];
+            let sketch_jobs = [SourceJob::new(SketchUnion::new(&sketches), salt)];
             for threads in [1, 3] {
                 let engine = Engine::with_threads(threads);
-                let exact = engine.run(&[group_job], &query).unwrap();
-                let sketched = engine.run(&[source_job.clone()], &query).unwrap();
+                let exact = engine.run(&group_jobs, &query).unwrap();
+                let sketched = engine.run(&sketch_jobs, &query).unwrap();
                 prop_assert_eq!(
                     &exact, &sketched,
                     "sketch union diverged from the exact group path (threads={})",
@@ -112,9 +106,8 @@ fn rg1_error_shrinks_as_k_grows() {
                 store.ingest_all(1, pb.iter()).unwrap();
                 let est = store.query_group(&engine, &query, &[0, 1]).unwrap();
                 // Exact truth over the pair's union, from the exact path.
-                let group = [pa.clone(), pb.clone()];
                 let exact = engine
-                    .run(&[GroupJob::new(&group, r)], &query)
+                    .run(&[PairJob::new(pa, pb, r)], &query)
                     .unwrap()
                     .pairs[0]
                     .truth;
