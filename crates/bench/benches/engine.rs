@@ -26,7 +26,7 @@
 //! seed-hashing rate ([`SeedHasher::seed_many`]) vs per-key hashing.
 
 use criterion::{black_box, Criterion};
-use monotone_bench::results_dir;
+use monotone_bench::{machine_fields, results_dir};
 use monotone_coord::instance::{Dataset, Instance};
 use monotone_coord::pps::CoordPps;
 use monotone_coord::query::estimate_sum;
@@ -220,9 +220,11 @@ fn main() {
     let hashes = (HASH_REPS * hash_keys.len()) as f64;
     let per_key_rate = hashes / per_key_secs;
     let seed_many_rate = hashes / seed_many_secs;
-    // Which lane implementation the rates priced: perf gates compare
-    // like with like instead of flagging a hardware difference (e.g. a
-    // runner without AVX-512) as a regression.
+    // Which lane implementation the rates priced. Both records carry it
+    // as `seed_many_lanes` (with `available_parallelism`, from
+    // `machine_fields`), so perf gates compare like with like instead of
+    // flagging a hardware difference (e.g. a runner without AVX-512) as a
+    // regression.
     let seed_many_lanes = SeedHasher::seed_many_lanes();
 
     let closed_rate = pairs as f64 / closed_secs;
@@ -259,7 +261,8 @@ fn main() {
     let mut kout = std::fs::File::create(&kernels_path).expect("create BENCH_kernels.json");
     writeln!(
         kout,
-        "{{\n  \"bench\": \"engine_kernel_layer\",\n  \"workload\": \"rg1plus_sum\",\n  \"pairs\": {pairs},\n  \"items_per_pair\": {ITEMS_PER_INSTANCE},\n  \"closed_kernel_secs\": {batched_secs:.6},\n  \"closed_kernel_pairs_per_sec\": {batched_rate:.1},\n  \"generic_kernel_secs\": {kernel_generic_secs:.6},\n  \"generic_kernel_pairs_per_sec\": {kernel_generic_rate:.1},\n  \"closed_over_generic\": {closed_over_generic:.2},\n  \"seed_per_key_keys_per_sec\": {per_key_rate:.0},\n  \"seed_many_keys_per_sec\": {seed_many_rate:.0},\n  \"seed_many_lanes\": \"{seed_many_lanes}\",\n  \"seed_many_speedup\": {:.2}\n}}",
+        "{{\n  \"bench\": \"engine_kernel_layer\",\n  \"workload\": \"rg1plus_sum\",\n{}  \"pairs\": {pairs},\n  \"items_per_pair\": {ITEMS_PER_INSTANCE},\n  \"closed_kernel_secs\": {batched_secs:.6},\n  \"closed_kernel_pairs_per_sec\": {batched_rate:.1},\n  \"generic_kernel_secs\": {kernel_generic_secs:.6},\n  \"generic_kernel_pairs_per_sec\": {kernel_generic_rate:.1},\n  \"closed_over_generic\": {closed_over_generic:.2},\n  \"seed_per_key_keys_per_sec\": {per_key_rate:.0},\n  \"seed_many_keys_per_sec\": {seed_many_rate:.0},\n  \"seed_many_speedup\": {:.2}\n}}",
+        machine_fields(),
         seed_many_rate / per_key_rate
     )
     .expect("write BENCH_kernels.json");
@@ -269,7 +272,8 @@ fn main() {
     let mut out = std::fs::File::create(&path).expect("create BENCH_engine.json");
     writeln!(
         out,
-        "{{\n  \"bench\": \"engine_batched_vs_per_call\",\n  \"workload\": \"rg1plus_sum\",\n  \"pairs\": {pairs},\n  \"items_per_pair\": {ITEMS_PER_INSTANCE},\n  \"naive_closed_secs\": {closed_secs:.6},\n  \"naive_closed_pairs_per_sec\": {closed_rate:.1},\n  \"naive_generic_secs\": {generic_secs:.6},\n  \"naive_generic_pairs_per_sec\": {generic_rate:.1},\n  \"batched_1thread_secs\": {batched_secs:.6},\n  \"batched_1thread_pairs_per_sec\": {batched_rate:.1},\n  \"parallel_threads\": {},\n  \"parallel_secs\": {parallel_secs:.6},\n  \"parallel_pairs_per_sec\": {parallel_rate:.1},\n  \"speedup_1thread_vs_closed\": {speedup:.2},\n  \"speedup_1thread_vs_generic\": {speedup_generic:.2}\n}}",
+        "{{\n  \"bench\": \"engine_batched_vs_per_call\",\n  \"workload\": \"rg1plus_sum\",\n{}  \"pairs\": {pairs},\n  \"items_per_pair\": {ITEMS_PER_INSTANCE},\n  \"naive_closed_secs\": {closed_secs:.6},\n  \"naive_closed_pairs_per_sec\": {closed_rate:.1},\n  \"naive_generic_secs\": {generic_secs:.6},\n  \"naive_generic_pairs_per_sec\": {generic_rate:.1},\n  \"batched_1thread_secs\": {batched_secs:.6},\n  \"batched_1thread_pairs_per_sec\": {batched_rate:.1},\n  \"parallel_threads\": {},\n  \"parallel_secs\": {parallel_secs:.6},\n  \"parallel_pairs_per_sec\": {parallel_rate:.1},\n  \"speedup_1thread_vs_closed\": {speedup:.2},\n  \"speedup_1thread_vs_generic\": {speedup_generic:.2}\n}}",
+        machine_fields(),
         engine_par.threads()
     )
     .expect("write BENCH_engine.json");

@@ -1,5 +1,5 @@
-//! The scenario driver: runs any registered experiment through the
-//! engine's sharded [`Runner`].
+//! The scenario driver: runs any registered experiment through
+//! `monotone-bench`'s sharded [`Runner`].
 //!
 //! ```sh
 //! cargo run --release -p monotone-bench --bin exp_runner -- --list
@@ -20,9 +20,8 @@
 
 use std::path::PathBuf;
 
-use monotone_bench::results_dir;
-use monotone_bench::scenarios;
-use monotone_engine::{Engine, Runner};
+use monotone_bench::{results_dir, scenarios, Runner, Scenario};
+use monotone_engine::Engine;
 
 const USAGE: &str = "usage: exp_runner [--list] [--all] [--shards N] [--workers N] [--procs N] \
      [--out DIR] <scenario>...";
@@ -88,12 +87,16 @@ fn main() {
 
     // Resolve every name up front so a typo exits before any scenario
     // runs or writes artifacts.
-    for name in &names {
-        if registry.get(name).is_none() {
-            eprintln!("unknown scenario {name:?}; try --list");
-            std::process::exit(2);
-        }
-    }
+    let chosen: Vec<&dyn Scenario> = names
+        .iter()
+        .map(|name| match registry.iter().find(|s| s.name() == name) {
+            Some(scenario) => scenario.as_ref(),
+            None => {
+                eprintln!("unknown scenario {name:?}; try --list");
+                std::process::exit(2);
+            }
+        })
+        .collect();
 
     let engine = workers.map_or_else(Engine::new, Engine::with_threads);
     let mut runner = Runner::new(engine);
@@ -103,8 +106,8 @@ fn main() {
     let dir = out_dir.unwrap_or_else(results_dir);
 
     let mut failed = false;
-    for name in &names {
-        let scenario = registry.get(name).expect("validated above");
+    for scenario in chosen {
+        let name = scenario.name();
         println!("\n=== scenario {name}: {} ===", scenario.description());
         match scenarios::execute(scenario, &runner, &dir) {
             Ok(run) => failed |= !run.ok,

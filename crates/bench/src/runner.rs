@@ -1,13 +1,11 @@
 //! The sharded scenario runner.
 //!
 //! A [`Runner`] executes a [`Scenario`] by splitting its sweep units into
-//! deterministic contiguous shards ([`chunk_bounds`]) and dispatching the
-//! shards over the engine's worker pool: statically chunked when there is
-//! at most one shard per worker, dynamically claimed
-//! ([`Engine::map_stolen`]) when shards outnumber workers — the
-//! work-stealing fallback that keeps skewed shards from serializing the
-//! sweep. Either way the unit outputs are reassembled in unit order, so
-//! every CSV artifact is byte-identical for every shard and worker count.
+//! deterministic contiguous shards ([`chunk_bounds`]) and letting the
+//! engine's workers claim shards one at a time from a shared counter, so
+//! skewed shards never serialize the sweep behind a static split. Each
+//! shard's output lands in the slot of its index, so every CSV artifact
+//! is byte-identical for every shard and worker count.
 //!
 //! Each run also produces a [`ScenarioTiming`] record, serialized by the
 //! driver as `results/BENCH_<scenario>.json` — the same machine-readable
@@ -17,7 +15,8 @@
 //! # Examples
 //!
 //! ```
-//! use monotone_engine::{CsvSpec, Engine, Runner, Scenario, UnitOut};
+//! use monotone_bench::{CsvSpec, Runner, Scenario, UnitOut};
+//! use monotone_engine::Engine;
 //!
 //! struct Doubles;
 //! impl Scenario for Doubles {
@@ -61,16 +60,14 @@
 //!     assert!(run.timing.units_per_sec > 0.0);
 //! }
 //! ```
-//!
-//! [`chunk_bounds`]: crate::chunk_bounds
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use monotone_core::Result;
+use monotone_engine::{chunk_bounds, Engine};
 
-use super::pool::chunk_bounds;
-use super::scenario::{CsvSpec, Scenario, UnitOut};
-use super::Engine;
+use crate::scenario::{CsvSpec, Scenario, UnitOut};
 
 /// A fully assembled CSV artifact: its spec plus the rows concatenated in
 /// unit order.
@@ -120,8 +117,9 @@ pub struct ScenarioRun {
 
 impl ScenarioRun {
     /// The timing record as JSON, following the `BENCH_engine.json`
-    /// schema convention (a flat object of `bench`/`workload` identifiers
-    /// plus numeric rate fields). Scenario-contributed
+    /// schema convention (a flat object of `bench`/`workload` identifiers,
+    /// the [machine fields](crate::machine_fields), and numeric rate
+    /// fields). Scenario-contributed
     /// [`bench_fields`](ScenarioRun::bench_fields) are spliced in after
     /// the fixed runner fields.
     pub fn timing_json(&self) -> String {
@@ -131,8 +129,9 @@ impl ScenarioRun {
             .map(|(key, value)| format!("  \"{key}\": {value:.3},\n"))
             .collect();
         format!(
-            "{{\n  \"bench\": \"scenario_{name}\",\n  \"workload\": \"{name}\",\n  \"units\": {units},\n  \"shards\": {shards},\n  \"workers\": {workers},\n  \"elapsed_secs\": {elapsed:.6},\n  \"units_per_sec\": {rate:.3},\n{extra}  \"checks_ok\": {ok}\n}}\n",
+            "{{\n  \"bench\": \"scenario_{name}\",\n  \"workload\": \"{name}\",\n{machine}  \"units\": {units},\n  \"shards\": {shards},\n  \"workers\": {workers},\n  \"elapsed_secs\": {elapsed:.6},\n  \"units_per_sec\": {rate:.3},\n{extra}  \"checks_ok\": {ok}\n}}\n",
             name = self.name,
+            machine = crate::machine_fields(),
             units = self.timing.units,
             shards = self.timing.shards,
             workers = self.timing.workers,
@@ -143,7 +142,7 @@ impl ScenarioRun {
     }
 }
 
-/// Executes scenarios over the engine's worker pool with deterministic
+/// Executes scenarios over the engine's worker count with deterministic
 /// sharding.
 #[derive(Debug, Clone, Copy)]
 pub struct Runner {
@@ -153,8 +152,8 @@ pub struct Runner {
 
 impl Runner {
     /// A runner over `engine` with automatic shard sizing (two shards per
-    /// worker, capped at the unit count — enough slack for the stealing
-    /// pool to absorb moderately skewed shards).
+    /// worker, capped at the unit count — enough slack for the claiming
+    /// workers to absorb moderately skewed shards).
     pub fn new(engine: Engine) -> Runner {
         Runner {
             engine,
@@ -173,22 +172,8 @@ impl Runner {
         self
     }
 
-    /// The engine driving this runner.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The shard count used for a sweep of `units` units.
-    pub fn shards_for(&self, units: usize) -> usize {
-        let shards = self
-            .shards
-            .unwrap_or_else(|| self.engine.threads().saturating_mul(2));
-        shards.clamp(1, units.max(1))
-    }
-
-    /// Runs the scenario: shard the sweep, execute the shards over the
-    /// pool (static chunks, or dynamic claiming when shards outnumber
-    /// workers), reassemble unit outputs in unit order, aggregate.
+    /// Runs the scenario: shard the sweep, let the workers claim the
+    /// shards, reassemble unit outputs in unit order, aggregate.
     ///
     /// # Errors
     ///
@@ -201,28 +186,24 @@ impl Runner {
     /// index out of range.
     pub fn run(&self, scenario: &dyn Scenario) -> Result<ScenarioRun> {
         let units = scenario.units();
-        let shards = self.shards_for(units);
-        let ranges: Vec<std::ops::Range<usize>> = chunk_bounds(units, shards)
-            .into_iter()
-            .map(|(lo, hi)| lo..hi)
-            .collect();
+        let threads = self.engine.threads();
+        let shards = self.shards.unwrap_or(threads.saturating_mul(2));
+        let ranges: Vec<std::ops::Range<usize>> =
+            chunk_bounds(units, shards.clamp(1, units.max(1)))
+                .into_iter()
+                .map(|(lo, hi)| lo..hi)
+                .collect();
 
         // The engine handed to run_shard: when several shards run
         // concurrently, divide the worker budget between the shard level
         // and the per-shard engine batches so nested pools never
         // oversubscribe the machine (results are thread-count invariant,
         // so this only affects scheduling, never output).
-        let outer = ranges.len().clamp(1, self.engine.threads());
-        let inner = Engine::with_threads((self.engine.threads() / outer).max(1));
+        let outer = ranges.len().clamp(1, threads);
+        let inner = Engine::with_threads((threads / outer).max(1));
 
         let start = Instant::now();
-        let shard_outs: Vec<Result<Vec<UnitOut>>> = if ranges.len() > self.engine.threads() {
-            self.engine
-                .map_stolen(&ranges, |_, r| scenario.run_shard(r.clone(), &inner))
-        } else {
-            self.engine
-                .map_chunked(&ranges, |_, r| scenario.run_shard(r.clone(), &inner))
-        };
+        let shard_outs = map_claimed(outer, &ranges, |r| scenario.run_shard(r.clone(), &inner));
 
         let mut outs: Vec<UnitOut> = Vec::with_capacity(units);
         for (range, shard) in ranges.iter().zip(shard_outs) {
@@ -265,7 +246,7 @@ impl Runner {
         let timing = ScenarioTiming {
             units,
             shards: ranges.len(),
-            workers: self.engine.threads(),
+            workers: threads,
             elapsed_secs,
             units_per_sec: units.max(1) as f64 / elapsed_secs.max(1e-9),
         };
@@ -278,6 +259,49 @@ impl Runner {
             timing,
         })
     }
+}
+
+/// Applies `f` to every item on `workers` scoped threads that claim item
+/// indices from a shared counter, returning the results in input order.
+/// Claiming instead of a static split keeps skewed item costs from
+/// serializing behind the slowest chunk; each result is put back at its
+/// index, so the output never depends on the schedule. One worker (or
+/// one item) runs inline.
+fn map_claimed<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut claimed: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut got = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices; the
+                        // results come back through the joined threads.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return got;
+                        };
+                        got.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("runner worker panicked"))
+            .collect()
+    });
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -389,5 +413,42 @@ mod tests {
         // Scenario fields sit between the fixed fields and the verdict.
         assert!(json.find("\"units_per_sec\"").unwrap() < json.find("\"metric_sum\"").unwrap());
         assert!(json.find("\"metric_sum\"").unwrap() < json.find("\"checks_ok\"").unwrap());
+    }
+
+    #[test]
+    fn map_claimed_keeps_input_order() {
+        let items: Vec<u64> = (0..317).collect();
+        let reference: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(
+                map_claimed(workers, &items, |&x| x * 3 + 1),
+                reference,
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn map_claimed_skewed_costs_stay_ordered() {
+        // Quadratic cost in the index: late items dominate. The claiming
+        // workers must still return results in input order.
+        let items: Vec<usize> = (0..64).collect();
+        let out = map_claimed(4, &items, |&n| {
+            let mut acc = 0u64;
+            for j in 0..(n * n * 100) as u64 {
+                acc = acc.wrapping_add(j ^ (acc >> 3));
+            }
+            (n, acc)
+        });
+        for (i, (n, _)) in out.iter().enumerate() {
+            assert_eq!(i, *n);
+        }
+    }
+
+    #[test]
+    fn map_claimed_empty_and_tiny() {
+        let empty: Vec<u32> = Vec::new();
+        assert!(map_claimed(4, &empty, |&x| x).is_empty());
+        assert_eq!(map_claimed(4, &[5u32], |&x| x + 1), vec![6]);
     }
 }

@@ -1,4 +1,4 @@
-//! Scenario descriptions and the scenario registry.
+//! Scenario descriptions.
 //!
 //! Every experiment in this workspace has the same shape: sweep a family
 //! of instances or parameters (the *units*), run estimators over each
@@ -10,8 +10,9 @@
 //! shard), and how to aggregate the ordered unit outputs at the end.
 //!
 //! The [`Runner`](crate::Runner) executes scenarios over the engine's
-//! worker pool; a [`Registry`] maps scenario names to implementations so
-//! a single driver binary can list and run every experiment.
+//! worker count; [`scenarios::registry`](crate::scenarios::registry)
+//! lists every experiment so the `exp_runner` binary can list and run
+//! them.
 //!
 //! Determinism contract: a unit's output may depend only on its unit
 //! index (and the scenario's own immutable state), never on which shard
@@ -22,7 +23,8 @@
 //! # Examples
 //!
 //! ```
-//! use monotone_engine::{CsvSpec, Engine, Registry, Runner, Scenario, UnitOut};
+//! use monotone_bench::{CsvSpec, Runner, Scenario, UnitOut};
+//! use monotone_engine::Engine;
 //!
 //! struct Squares;
 //! impl Scenario for Squares {
@@ -53,12 +55,9 @@
 //!     }
 //! }
 //!
-//! let mut registry = Registry::new();
-//! registry.register(Box::new(Squares));
-//! let scenario = registry.get("squares").unwrap();
 //! let run = Runner::new(Engine::with_threads(2))
 //!     .with_shards(3)
-//!     .run(scenario)
+//!     .run(&Squares)
 //!     .unwrap();
 //! assert_eq!(run.artifacts[0].rows.len(), 4);
 //! assert_eq!(run.artifacts[0].rows[3], vec!["3".to_string(), "9".to_string()]);
@@ -67,8 +66,7 @@
 use std::ops::Range;
 
 use monotone_core::Result;
-
-use super::Engine;
+use monotone_engine::Engine;
 
 /// Declaration of one CSV artifact a scenario emits: the file name
 /// (relative to the results directory) and its column headers.
@@ -187,7 +185,8 @@ impl FinishOut {
 /// any other sharding, so artifacts are identical at every shard and
 /// worker count.
 pub trait Scenario: Sync {
-    /// Registry name (also the `BENCH_<name>.json` timing-record stem).
+    /// Name in the registry (also the `BENCH_<name>.json` timing-record
+    /// stem).
     fn name(&self) -> &'static str;
 
     /// One-line description for `--list`.
@@ -213,100 +212,9 @@ pub trait Scenario: Sync {
     }
 }
 
-/// Name-indexed collection of scenarios, preserving registration order
-/// (which the driver's `--list` and `--all` follow).
-#[derive(Default)]
-pub struct Registry {
-    entries: Vec<Box<dyn Scenario>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Adds a scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scenario with the same name is already registered.
-    pub fn register(&mut self, scenario: Box<dyn Scenario>) {
-        assert!(
-            self.get(scenario.name()).is_none(),
-            "scenario {:?} registered twice",
-            scenario.name()
-        );
-        self.entries.push(scenario);
-    }
-
-    /// Looks a scenario up by name.
-    pub fn get(&self, name: &str) -> Option<&dyn Scenario> {
-        self.entries
-            .iter()
-            .find(|s| s.name() == name)
-            .map(|s| s.as_ref())
-    }
-
-    /// Iterates scenarios in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Scenario> {
-        self.entries.iter().map(|s| s.as_ref())
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Named(&'static str);
-    impl Scenario for Named {
-        fn name(&self) -> &'static str {
-            self.0
-        }
-        fn description(&self) -> &'static str {
-            "test"
-        }
-        fn artifacts(&self) -> Vec<CsvSpec> {
-            Vec::new()
-        }
-        fn units(&self) -> usize {
-            0
-        }
-        fn run_shard(&self, _units: Range<usize>, _engine: &Engine) -> Result<Vec<UnitOut>> {
-            Ok(Vec::new())
-        }
-    }
-
-    #[test]
-    fn registry_lookup_and_order() {
-        let mut r = Registry::new();
-        assert!(r.is_empty());
-        r.register(Box::new(Named("a")));
-        r.register(Box::new(Named("b")));
-        assert_eq!(r.len(), 2);
-        assert!(r.get("a").is_some());
-        assert!(r.get("missing").is_none());
-        let names: Vec<&str> = r.iter().map(|s| s.name()).collect();
-        assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn registry_rejects_duplicates() {
-        let mut r = Registry::new();
-        r.register(Box::new(Named("a")));
-        r.register(Box::new(Named("a")));
-    }
 
     #[test]
     fn unit_out_channels() {

@@ -71,13 +71,11 @@ use std::time::Instant;
 
 use monotone_coord::instance::Instance;
 use monotone_core::Result;
-use monotone_engine::{
-    workload, CsvSpec, Engine, EngineQuery, FinishOut, PairJob, Scenario, UnitOut,
-};
+use monotone_engine::{workload, Engine, EngineQuery, PairJob};
 use monotone_store::banding::{BandConfig, BandIndex};
 use monotone_store::SketchStore;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 /// Pool sizes swept, one unit each: the full 10⁴–10⁶ range of the
 /// generator.

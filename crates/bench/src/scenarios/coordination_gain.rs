@@ -19,12 +19,10 @@ use monotone_coord::seed::SeedHasher;
 use monotone_core::func::RangePowPlus;
 use monotone_core::Result;
 use monotone_datagen::zipf::lognormal_factor;
-use monotone_engine::{
-    CsvSpec, Engine, EngineQuery, EstimatorKind, FinishOut, PairJob, Scenario, UnitOut,
-};
+use monotone_engine::{Engine, EngineQuery, EstimatorKind, PairJob};
 use rand::SeedableRng;
 
-use crate::{fnum, stats::nrmse, table::Table};
+use crate::{fnum, stats::nrmse, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const SIGMAS: [f64; 6] = [0.02, 0.05, 0.1, 0.25, 0.5, 1.0];
 const ITEMS: u64 = 2000;

@@ -13,11 +13,9 @@ use std::ops::Range;
 
 use monotone_coord::instance::Instance;
 use monotone_core::Result;
-use monotone_engine::{
-    CsvSpec, DomainSource, Engine, EngineQuery, FinishOut, Scenario, SourceJob, UnitOut,
-};
+use monotone_engine::{DomainSource, Engine, EngineQuery, SourceJob};
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const SIZES: [u64; 5] = [64, 256, 1024, 4096, 16384];
 const ITEMS: u64 = 16_384;

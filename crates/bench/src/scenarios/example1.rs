@@ -10,9 +10,9 @@ use monotone_coord::instance::Dataset;
 use monotone_coord::query::exact_sum;
 use monotone_core::func::{LinearAbsPow, RangePow, RangePowPlus};
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 /// One unit per paper query; `(name, paper value, note)`.
 const QUERIES: [(&str, &str, &str); 5] = [

@@ -9,9 +9,9 @@ use std::ops::Range;
 use monotone_coord::instance::Dataset;
 use monotone_core::scheme::{EntryState, TupleScheme};
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::table::Table;
+use crate::{table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const NAMES: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
 const SEEDS: [f64; 8] = [0.32, 0.21, 0.04, 0.23, 0.84, 0.70, 0.15, 0.64];

@@ -19,9 +19,9 @@ use monotone_core::func::RangePowPlus;
 use monotone_core::problem::Mep;
 use monotone_core::scheme::TupleScheme;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const PANELS: [f64; 3] = [0.5, 1.0, 2.0];
 const DATASETS: [[f64; 2]; 2] = [[0.6, 0.2], [0.6, 0.0]];

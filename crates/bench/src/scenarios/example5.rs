@@ -19,9 +19,9 @@ use std::ops::Range;
 use monotone_core::discrete::{DiscreteMep, DiscreteOutcome, OrderOptimal};
 use monotone_core::func::RangePowPlus;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const PI: [f64; 3] = [0.25, 0.5, 0.75];
 const INTERVALS: [&str; 4] = ["(0,π1]", "(π1,π2]", "(π2,π3]", "(π3,1]"];

@@ -16,9 +16,9 @@ use monotone_core::problem::Mep;
 use monotone_core::scheme::TupleScheme;
 use monotone_core::variance::VarianceCalc;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const PS: [f64; 2] = [1.0, 2.0];
 const VECTORS: [[f64; 2]; 8] = [

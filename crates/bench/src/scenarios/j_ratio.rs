@@ -15,9 +15,9 @@ use monotone_core::problem::Mep;
 use monotone_core::scheme::TupleScheme;
 use monotone_core::variance::VarianceCalc;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const RG_PS: [f64; 3] = [0.5, 1.0, 2.0];
 const RG_VECTORS: [[f64; 2]; 4] = [[0.9, 0.0], [0.9, 0.45], [0.9, 0.8], [0.3, 0.1]];

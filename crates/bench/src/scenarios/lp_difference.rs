@@ -23,12 +23,10 @@ use monotone_coord::instance::Dataset;
 use monotone_coord::pps::scale_for_expected_size;
 use monotone_core::Result;
 use monotone_datagen::pairs::{flow_like, stable_like, PairConfig};
-use monotone_engine::{
-    CsvSpec, Engine, EngineQuery, EstimatorKind, FinishOut, PairJob, Scenario, UnitOut,
-};
+use monotone_engine::{Engine, EngineQuery, EstimatorKind, PairJob};
 use rand::SeedableRng;
 
-use crate::{fnum, stats::nrmse, table::Table};
+use crate::{fnum, stats::nrmse, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const TRIALS: u64 = 48;
 const PS: [f64; 2] = [1.0, 2.0];

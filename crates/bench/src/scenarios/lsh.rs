@@ -27,12 +27,10 @@ use monotone_coord::query::weighted_jaccard;
 use monotone_coord::seed::SeedHasher;
 use monotone_core::Result;
 use monotone_datagen::zipf::lognormal_factor;
-use monotone_engine::{
-    CsvSpec, Engine, EstimationKernel, FinishOut, KernelScratch, Scenario, SourceJob, UnitOut,
-};
+use monotone_engine::{Engine, EstimationKernel, KernelScratch, SourceJob};
 use rand::SeedableRng;
 
-use crate::{fnum, stats::mean, table::Table};
+use crate::{fnum, stats::mean, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const SIGMAS: [f64; 7] = [0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0];
 const ITEMS: u64 = 3000;

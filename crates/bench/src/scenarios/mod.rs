@@ -1,10 +1,10 @@
 //! The scenario registry: every experiment of the suite as a
-//! [`Scenario`], executed by the engine's sharded [`Runner`].
+//! [`Scenario`], executed by this crate's sharded [`Runner`].
 //!
 //! Each module here is one registry entry describing a paper experiment
 //! as (instance-family generator, estimator set, sweep axes, aggregation)
-//! — the shape the engine's runner shards deterministically over its
-//! worker pool. The `exp_runner` binary drives them
+//! — the shape the runner shards deterministically over the engine's
+//! worker count. The `exp_runner` binary drives them
 //! (`cargo run --bin exp_runner -- <scenario> [--shards N]`).
 //!
 //! Every run emits its CSV artifacts plus a machine-readable timing
@@ -34,30 +34,32 @@ mod similarity;
 use std::path::{Path, PathBuf};
 
 use monotone_core::Result;
-use monotone_engine::{Registry, Runner, Scenario, ScenarioRun};
 
-/// The full experiment registry, in E-number order.
-pub fn registry() -> Registry {
-    let mut r = Registry::new();
-    r.register(Box::new(example1::Example1));
-    r.register(Box::new(example2::Example2));
-    r.register(Box::new(example3::Example3));
-    r.register(Box::new(example4::Example4));
-    r.register(Box::new(example5::Example5));
-    r.register(Box::new(ratio4::Ratio4));
-    r.register(Box::new(rg_ratios::RgRatios));
-    r.register(Box::new(ht_dominance::HtDominance));
-    r.register(Box::new(lp_difference::LpDifference::new()));
-    r.register(Box::new(similarity::Similarity::new()));
-    r.register(Box::new(j_ratio::JRatio));
-    r.register(Box::new(lsh::Lsh));
-    r.register(Box::new(error_scaling::ErrorScaling::new()));
-    r.register(Box::new(optimal_ratio::OptimalRatio));
-    r.register(Box::new(coordination_gain::CoordinationGain));
-    r.register(Box::new(multiway::Multiway));
-    r.register(Box::new(service::Service));
-    r.register(Box::new(allpairs::AllPairs));
-    r
+use crate::{Runner, Scenario, ScenarioRun};
+
+/// The full experiment registry, in E-number order (the order
+/// `exp_runner --list` and `--all` follow).
+pub fn registry() -> Vec<Box<dyn Scenario>> {
+    vec![
+        Box::new(example1::Example1),
+        Box::new(example2::Example2),
+        Box::new(example3::Example3),
+        Box::new(example4::Example4),
+        Box::new(example5::Example5),
+        Box::new(ratio4::Ratio4),
+        Box::new(rg_ratios::RgRatios),
+        Box::new(ht_dominance::HtDominance),
+        Box::new(lp_difference::LpDifference::new()),
+        Box::new(similarity::Similarity::new()),
+        Box::new(j_ratio::JRatio),
+        Box::new(lsh::Lsh),
+        Box::new(error_scaling::ErrorScaling::new()),
+        Box::new(optimal_ratio::OptimalRatio),
+        Box::new(coordination_gain::CoordinationGain),
+        Box::new(multiway::Multiway),
+        Box::new(service::Service),
+        Box::new(allpairs::AllPairs),
+    ]
 }
 
 /// Writes a run's CSV artifacts and its `BENCH_<name>.json` timing

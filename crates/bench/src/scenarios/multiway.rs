@@ -16,9 +16,9 @@
 use std::ops::Range;
 
 use monotone_core::Result;
-use monotone_engine::{workload, CsvSpec, Engine, EngineQuery, FinishOut, Scenario, UnitOut};
+use monotone_engine::{workload, Engine, EngineQuery};
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const ARITIES: [usize; 5] = [2, 3, 4, 6, 8];
 const ITEMS_PER_INSTANCE: u64 = 400;

@@ -13,9 +13,9 @@ use monotone_core::discrete::{DiscreteMep, OrderOptimal};
 use monotone_core::func::RangePowPlus;
 use monotone_core::optimal_ratio::{vopt_esq_discrete, OptimalRatioSolver};
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const LEVELS: [usize; 4] = [3, 4, 6, 8];
 

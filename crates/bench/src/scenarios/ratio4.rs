@@ -15,9 +15,9 @@ use monotone_core::problem::Mep;
 use monotone_core::scheme::TupleScheme;
 use monotone_core::variance::VarianceCalc;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const PS: [f64; 9] = [0.0, 0.1, 0.2, 0.3, 0.35, 0.4, 0.45, 0.49, 0.499];
 

@@ -14,9 +14,9 @@ use monotone_core::problem::Mep;
 use monotone_core::scheme::TupleScheme;
 use monotone_core::variance::VarianceCalc;
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const FUNCS: [&str; 4] = ["RG1+", "RG2+", "RG1", "RG2"];
 const PAPER: [&str; 4] = ["2", "2.5", "2", "2.5"];

@@ -31,10 +31,10 @@
 use std::ops::Range;
 
 use monotone_core::Result;
-use monotone_engine::{CsvSpec, Engine, EngineQuery, FinishOut, Scenario, UnitOut};
+use monotone_engine::{Engine, EngineQuery};
 use monotone_store::SketchStore;
 
-use crate::{fnum, table::Table};
+use crate::{fnum, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 /// Sketch sizes swept, one unit each.
 const KS: [usize; 4] = [8, 16, 32, 64];

@@ -15,13 +15,13 @@ use std::ops::Range;
 use monotone_coord::seed::SeedHasher;
 use monotone_core::Result;
 use monotone_datagen::graphs::{grid, preferential_attachment};
-use monotone_engine::{CsvSpec, Engine, FinishOut, Scenario, UnitOut};
+use monotone_engine::Engine;
 use monotone_sketches::ads::{build_all_ads, Ads};
 use monotone_sketches::closeness::{exact_closeness, ClosenessEstimator};
 use monotone_sketches::graph::Graph;
 use rand::SeedableRng;
 
-use crate::{fnum, stats::mean, table::Table};
+use crate::{fnum, stats::mean, table::Table, CsvSpec, FinishOut, Scenario, UnitOut};
 
 const KS: [usize; 5] = [4, 8, 16, 32, 64];
 const SALTS: u64 = 3;

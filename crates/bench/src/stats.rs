@@ -9,15 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Root-mean-square error of estimates against a single truth value.
 pub fn rmse(estimates: &[f64], truth: f64) -> f64 {
     if estimates.is_empty() {
@@ -47,7 +38,6 @@ mod tests {
     #[test]
     fn basics() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!((stddev(&[1.0, 1.0, 1.0])).abs() < 1e-15);
         assert!((rmse(&[1.0, 3.0], 2.0) - 1.0).abs() < 1e-15);
         assert!((nrmse(&[1.0, 3.0], 2.0) - 0.5).abs() < 1e-15);
     }
@@ -55,7 +45,6 @@ mod tests {
     #[test]
     fn empty_slices() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[]), 0.0);
         assert_eq!(rmse(&[], 1.0), 0.0);
     }
 }

@@ -9,8 +9,8 @@
 
 use std::path::PathBuf;
 
-use monotone_bench::scenarios;
-use monotone_engine::{CsvArtifact, Engine, Runner};
+use monotone_bench::{csv_text, scenarios, Runner};
+use monotone_engine::Engine;
 
 /// The committed results directory (the workspace's `results/`).
 fn results_dir() -> PathBuf {
@@ -21,28 +21,16 @@ fn results_dir() -> PathBuf {
         .join("results")
 }
 
-/// Renders an assembled artifact exactly as `write_csv_in` serializes it.
-fn rendered(artifact: &CsvArtifact) -> String {
-    let mut out = String::new();
-    out.push_str(&artifact.spec.headers.join(","));
-    out.push('\n');
-    for row in &artifact.rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 fn assert_regenerates(name: &str) {
-    let registry = scenarios::registry();
-    let scenario = registry
-        .get(name)
+    let scenario = scenarios::registry()
+        .into_iter()
+        .find(|s| s.name() == name)
         .unwrap_or_else(|| panic!("{name} registered"));
     // Multi-shard, multi-worker on purpose: byte-identity must hold for
     // every execution geometry, not just the one that wrote the files.
     let run = Runner::new(Engine::with_threads(2))
         .with_shards(3)
-        .run(scenario)
+        .run(scenario.as_ref())
         .unwrap_or_else(|e| panic!("{name} failed: {e}"));
     assert!(run.ok, "{name}: paper-shape checks failed");
     for artifact in &run.artifacts {
@@ -50,7 +38,7 @@ fn assert_regenerates(name: &str) {
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read committed {}: {e}", path.display()));
         assert_eq!(
-            rendered(artifact),
+            csv_text(&artifact.spec.headers, &artifact.rows),
             committed,
             "{name}: {} diverged from the committed artifact",
             artifact.spec.file
@@ -117,4 +105,81 @@ fn error_scaling_regenerates_committed_csv() {
 #[test]
 fn service_regenerates_committed_csv() {
     assert_regenerates("service");
+}
+
+/// Splits CSV text into records of fields per RFC 4180: commas separate
+/// fields, and a field opened by a double quote runs to the closing
+/// quote, holding commas, line breaks and doubled (`""`) quotes.
+fn parse_csv(text: &str) -> Vec<Vec<String>> {
+    let mut records = Vec::new();
+    let mut record = Vec::new();
+    let mut field = String::new();
+    let mut quoted = false;
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        match (quoted, c) {
+            (true, '"') if chars.peek() == Some(&'"') => {
+                chars.next();
+                field.push('"');
+            }
+            (true, '"') => quoted = false,
+            (false, '"') if field.is_empty() => quoted = true,
+            (false, ',') => record.push(std::mem::take(&mut field)),
+            (false, '\n') => {
+                record.push(std::mem::take(&mut field));
+                records.push(std::mem::take(&mut record));
+            }
+            _ => field.push(c),
+        }
+    }
+    if !field.is_empty() || !record.is_empty() {
+        record.push(field);
+        records.push(record);
+    }
+    records
+}
+
+/// Every committed CSV reads back, under RFC 4180, as records with
+/// exactly as many fields as its header: a cell such as `L1({b,c,e})`
+/// must not split into several fields.
+#[test]
+fn committed_csvs_parse_to_their_header_width() {
+    let mut checked = 0;
+    for entry in std::fs::read_dir(results_dir()).expect("read results dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("csv") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read csv");
+        let records = parse_csv(&text);
+        let width = records.first().map_or(0, Vec::len);
+        assert!(width > 0, "{}: no header", path.display());
+        for (line, record) in records.iter().enumerate() {
+            assert_eq!(
+                record.len(),
+                width,
+                "{} record {line} has {} fields, the header {width}: {record:?}",
+                path.display(),
+                record.len()
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked > 0, "no committed CSV found");
+}
+
+#[test]
+fn csv_cells_with_commas_quotes_or_line_breaks_are_quoted() {
+    let rows = vec![vec![
+        "L1({b,c,e})".to_owned(),
+        "say \"hi\"".to_owned(),
+        "two\nlines".to_owned(),
+        "plain".to_owned(),
+    ]];
+    let text = csv_text(&["a", "b", "c", "d"], &rows);
+    assert_eq!(
+        text,
+        "a,b,c,d\n\"L1({b,c,e})\",\"say \"\"hi\"\"\",\"two\nlines\",plain\n"
+    );
+    assert_eq!(parse_csv(&text)[1], rows[0]);
 }

@@ -6,11 +6,10 @@
 use std::ops::Range;
 use std::path::PathBuf;
 
-use monotone_bench::scenarios;
+use monotone_bench::{scenarios, CsvSpec, FinishOut, Runner, Scenario, UnitOut};
+use monotone_coord::seed::SeedHasher;
 use monotone_core::Result;
-use monotone_engine::{
-    workload, CsvSpec, Engine, EngineQuery, FinishOut, Registry, Runner, Scenario, UnitOut,
-};
+use monotone_engine::{workload, Engine, EngineQuery};
 
 /// A miniature sweep over the canonical engine workload: one unit per
 /// salt block, each unit an engine batch whose mean L* estimate is both
@@ -66,19 +65,23 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The registered scenario named `name`.
+fn registered(name: &str) -> Box<dyn Scenario> {
+    scenarios::registry()
+        .into_iter()
+        .find(|s| s.name() == name)
+        .unwrap_or_else(|| panic!("{name} registered"))
+}
+
 #[test]
 fn tiny_scenario_identical_aggregates_across_shard_counts() {
-    let mut registry = Registry::new();
-    registry.register(Box::new(TinyScenario));
-    let scenario = registry.get("tiny").expect("registered");
-
     let one = Runner::new(Engine::with_threads(1))
         .with_shards(1)
-        .run(scenario)
+        .run(&TinyScenario)
         .expect("run at 1 shard");
     let three = Runner::new(Engine::with_threads(2))
         .with_shards(3)
-        .run(scenario)
+        .run(&TinyScenario)
         .expect("run at 3 shards");
 
     // Identical aggregates: artifacts, report lines, and check verdicts.
@@ -120,6 +123,22 @@ fn emitting_a_run_writes_artifacts_and_a_positive_rate_timing_record() {
         .expect("units_per_sec field");
     assert!(rate > 0.0, "rate {rate} must be positive");
     assert!(run.timing.units_per_sec > 0.0);
+    // The record names the machine as the repository benchmark does.
+    let cores: usize = record
+        .lines()
+        .find(|l| l.contains("\"available_parallelism\""))
+        .and_then(|l| l.split(':').nth(1))
+        .map(|v| v.trim().trim_end_matches(',').parse().expect("core count"))
+        .expect("available_parallelism field");
+    assert_eq!(
+        cores,
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
+    let lanes = format!(
+        "\"seed_many_lanes\": \"{}\",",
+        SeedHasher::seed_many_lanes()
+    );
+    assert!(record.contains(&lanes), "missing {lanes} in {record}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -224,18 +243,17 @@ fn readme_table_and_ci_scenario_lists_match_the_registry() {
 /// pin their worker-pool evaluation, whose report lines carry checks no
 /// CSV holds.
 fn assert_scenario_deterministic(name: &str) {
-    let registry = scenarios::registry();
-    let scenario = registry.get(name).expect("registered");
+    let scenario = registered(name);
     let reference = Runner::new(Engine::with_threads(1))
         .with_shards(1)
-        .run(scenario)
+        .run(scenario.as_ref())
         .unwrap_or_else(|e| panic!("{name} at 1/1: {e}"));
     assert!(reference.ok, "{name} paper-shape checks failed");
     for shards in [1usize, 2, 4] {
         for workers in [1usize, 2, 4] {
             let run = Runner::new(Engine::with_threads(workers))
                 .with_shards(shards)
-                .run(scenario)
+                .run(scenario.as_ref())
                 .unwrap_or_else(|e| panic!("{name} at {shards}/{workers}: {e}"));
             assert_eq!(
                 run.artifacts, reference.artifacts,
@@ -279,11 +297,9 @@ fn j_ratio_deterministic_across_shards_and_workers() {
 
 #[test]
 fn example1_runs_through_the_registry_end_to_end() {
-    let registry = scenarios::registry();
-    let scenario = registry.get("example1").expect("registered");
     let run = Runner::new(Engine::with_threads(2))
         .with_shards(2)
-        .run(scenario)
+        .run(registered("example1").as_ref())
         .expect("run example1");
     assert!(run.ok);
     assert_eq!(run.artifacts[0].rows.len(), 5);

@@ -92,11 +92,6 @@ impl Instance {
     pub fn total_weight(&self) -> f64 {
         self.weights.values().sum()
     }
-
-    /// Maximum weight (0 for an empty instance).
-    pub fn max_weight(&self) -> f64 {
-        self.weights.values().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Iterates the union of two instances' keys in ascending order, yielding
@@ -480,6 +475,5 @@ mod tests {
     fn totals() {
         let inst = Instance::from_pairs([(0, 0.5), (1, 1.5)]);
         assert_eq!(inst.total_weight(), 2.0);
-        assert_eq!(inst.max_weight(), 1.5);
     }
 }

@@ -197,15 +197,6 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    /// Reads `n` raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Encoding`] when fewer than `n` bytes remain.
-    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
-    }
-
     /// Asserts the cursor consumed the whole buffer — trailing garbage in
     /// a framed payload means the sender and receiver disagree about the
     /// format, which must fail loudly.
@@ -251,7 +242,9 @@ mod tests {
             assert_eq!(dec.take_f64().unwrap().to_bits(), v.to_bits());
         }
         assert!(dec.take_f64().unwrap().is_nan());
-        assert_eq!(dec.take_bytes(4).unwrap(), b"tail");
+        for &byte in b"tail" {
+            assert_eq!(dec.take_u8().unwrap(), byte);
+        }
         dec.finish().unwrap();
     }
 

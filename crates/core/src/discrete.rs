@@ -249,14 +249,6 @@ impl<F: ItemFn> DiscreteMep<F> {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The step values of the lower-bound function of vector index `zi`
-    /// across all intervals (index 0 = most informative interval).
-    pub fn lb_steps(&self, zi: usize) -> Vec<f64> {
-        (0..self.interval_count())
-            .map(|k| self.lower_bound(&self.outcome_at_interval(&self.vectors[zi], k)))
-            .collect()
-    }
-
     /// Exact L\* estimate at an outcome, from the closed interval-sum form
     /// of Eq. (31) for step lower-bound functions:
     /// `f̂ᴸ(I_k) = b_k/ends_k − Σ_{j>k} b_j (1/ends_{j-1} − 1/ends_j)`.

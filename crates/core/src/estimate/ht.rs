@@ -27,6 +27,9 @@ use crate::scheme::{Outcome, ThresholdFn};
 /// Halvings of the seed interval when bisecting for the reveal boundary.
 const BISECT_ITERS: u32 = 64;
 
+/// Relative tolerance of the reveal test `sup − inf <= TOL · max(1, sup)`.
+const TOL: f64 = 1e-9;
+
 /// The smallest reveal boundary read off a path breakpoint. For a boundary
 /// `B >= 2⁻¹⁰`, [`BISECT_ITERS`] halvings of `(ρ, 1]` leave a bracket
 /// about 2⁻⁶⁴ wide against an ulp of `B` of at least 2⁻⁶², so the
@@ -74,26 +77,13 @@ fn bisect(mut lo: f64, mut reveals: impl FnMut(f64) -> bool) -> f64 {
 /// let ht = HorvitzThompson::new();
 /// assert!((ht.estimate(&mep, &outcome) - 0.4 / 0.2).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HorvitzThompson {
-    tol: f64,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HorvitzThompson;
 
 impl HorvitzThompson {
-    /// HT with the default reveal tolerance.
+    /// HT, whose reveal test allows a relative gap of `1e-9`.
     pub fn new() -> HorvitzThompson {
-        HorvitzThompson { tol: 1e-9 }
-    }
-
-    /// HT with a custom relative tolerance for the reveal test
-    /// `sup - inf <= tol · max(1, sup)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tol` is not positive.
-    pub fn with_tolerance(tol: f64) -> HorvitzThompson {
-        assert!(tol.is_finite() && tol > 0.0, "tolerance must be positive");
-        HorvitzThompson { tol }
+        HorvitzThompson
     }
 
     fn revealed<F: ItemFn, T: ThresholdFn>(
@@ -107,7 +97,7 @@ impl HorvitzThompson {
         mep.scheme().states_at(outcome, u, known, caps);
         let lo = mep.f().box_inf(known, caps);
         let hi = mep.f().box_sup(known, caps);
-        hi - lo <= self.tol * hi.abs().max(1.0)
+        hi - lo <= TOL * hi.abs().max(1.0)
     }
 
     /// The probability that sampling data `v` produces an outcome revealing
@@ -138,7 +128,7 @@ impl HorvitzThompson {
             }
             let lo = mep.f().box_inf(&known, &caps);
             let hi = mep.f().box_sup(&known, &caps);
-            hi - lo <= self.tol * hi.abs().max(1.0)
+            hi - lo <= TOL * hi.abs().max(1.0)
         };
         if gap_ok(1.0) {
             return Ok(1.0);
@@ -161,10 +151,10 @@ impl HorvitzThompson {
         if mep.f().eval(v) == 0.0 {
             return Ok(true);
         }
-        // Reveal detection uses the relative tolerance `tol`, so probes can
-        // report spurious "reveals" at seeds up to ~tol; require the reveal
+        // Reveal detection uses the relative tolerance `TOL`, so probes can
+        // report spurious "reveals" at seeds up to ~TOL; require the reveal
         // probability to clear that noise floor.
-        Ok(self.reveal_probability(mep, v)? > self.tol * 100.0)
+        Ok(self.reveal_probability(mep, v)? > TOL * 100.0)
     }
 
     /// Like [`MonotoneEstimator::estimate`] but returns
@@ -204,12 +194,6 @@ impl HorvitzThompson {
             return Ok(f / b);
         }
         Ok(f / bisect(rho, reveals))
-    }
-}
-
-impl Default for HorvitzThompson {
-    fn default() -> Self {
-        HorvitzThompson::new()
     }
 }
 

@@ -203,44 +203,6 @@ impl UStar {
         }
         out
     }
-
-    /// The full U\* estimate curve `u ↦ f̂ᵁ(u, v)` for known data `v`, at
-    /// descending grid nodes down to `eps`. Used for variance computation
-    /// and for regenerating the Example 4 panels.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `v` is invalid for the scheme.
-    pub fn curve_for_data<F: ItemFn, T: ThresholdFn>(
-        &self,
-        mep: &Mep<F, T>,
-        v: &[f64],
-        eps: f64,
-    ) -> crate::error::Result<Vec<(f64, f64)>> {
-        let lb = mep.data_lower_bound(v)?;
-        let bps = lb.breakpoints();
-        let scheme = mep.scheme();
-        let data = v.to_vec();
-        Ok(self.solve_path(
-            mep,
-            move |u, known, caps| {
-                known.clear();
-                caps.clear();
-                for i in 0..data.len() {
-                    let cap = scheme.thresholds()[i].cap(u);
-                    if data[i] >= cap {
-                        known.push(Some(data[i]));
-                        caps.push(0.0);
-                    } else {
-                        known.push(None);
-                        caps.push(cap);
-                    }
-                }
-            },
-            eps,
-            &bps,
-        ))
-    }
 }
 
 impl Default for UStar {
@@ -572,19 +534,5 @@ mod tests {
             let e = est.estimate(&mep, &out);
             assert!((e - 2.0 * (0.6 - u)).abs() < 1e-12, "u={u}");
         }
-    }
-
-    #[test]
-    fn curve_for_data_integrates_to_target() {
-        let mep = mep_p(2.0);
-        let solver = UStar::with_steps(256);
-        let v = [0.6, 0.2];
-        let curve = solver.curve_for_data(&mep, &v, 1e-4).unwrap();
-        let mut total = 0.0;
-        for w in curve.windows(2) {
-            total += 0.5 * (w[0].1 + w[1].1) * (w[0].0 - w[1].0);
-        }
-        // The tail below eps contributes ~0 for p >= 1 (estimate is 0 there).
-        assert!((total - 0.16).abs() < 5e-3, "got {total}");
     }
 }

@@ -104,20 +104,6 @@ impl VOptimal {
     pub fn esq<F: ItemFn, T: ThresholdFn>(&self, mep: &Mep<F, T>, v: &[f64]) -> Result<f64> {
         Ok(self.hull(mep, v)?.sq_integral_of_slope())
     }
-
-    /// The minimum attainable variance for data `v`: `esq − f(v)²`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `v` is invalid for the scheme.
-    pub fn min_variance<F: ItemFn, T: ThresholdFn>(
-        &self,
-        mep: &Mep<F, T>,
-        v: &[f64],
-    ) -> Result<f64> {
-        let f = mep.f().eval(v);
-        Ok(self.esq(mep, v)? - f * f)
-    }
 }
 
 impl Default for VOptimal {
@@ -208,7 +194,9 @@ mod tests {
         .unwrap();
         let vopt = VOptimal::new();
         for &v in &[[0.6, 0.2], [0.6, 0.0], [0.9, 0.89]] {
-            let var = vopt.min_variance(&mep, &v).unwrap();
+            // The minimum variance is `E[(f̂⁽ᵛ⁾)²] − f(v)²`.
+            let f = mep.f().eval(&v);
+            let var = vopt.esq(&mep, &v).unwrap() - f * f;
             assert!(var >= -1e-6, "negative min variance {var} for {v:?}");
         }
     }

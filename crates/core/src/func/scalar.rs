@@ -117,21 +117,6 @@ impl PowerGapFamily {
         (1.0 - v.powf(1.0 - self.p)) / (1.0 - self.p)
     }
 
-    /// Closed-form L\* estimate on outcomes consistent with data `v = 0`
-    /// (nothing sampled, seed `u`).
-    pub fn lstar_at_zero(&self, u: f64) -> f64 {
-        if self.p == 0.0 {
-            -u.ln()
-        } else {
-            (u.powf(-self.p) - 1.0) / self.p
-        }
-    }
-
-    /// Closed-form v-optimal estimate for data `v = 0` at seed `u`.
-    pub fn vopt_at_zero(&self, u: f64) -> f64 {
-        u.powf(-self.p)
-    }
-
     /// `E[(f̂⁽⁰⁾)²] = 1/(1-2p)`: the minimum attainable for data 0.
     pub fn esq_vopt_at_zero(&self) -> f64 {
         1.0 / (1.0 - 2.0 * self.p)
@@ -210,12 +195,30 @@ mod tests {
 
     #[test]
     fn lstar_closed_form_integrates_to_value() {
-        // ∫_0^1 f̂ᴸ(u,0) du must equal f(0) = 1/(1-p) (unbiasedness at v=0).
+        // The L* estimate on outcomes of data v = 0 is the closed form
+        // f̂ᴸ(u, 0) = (u^{-p} - 1)/p (-ln u at p = 0), and its integral
+        // over (0, 1] is f(0) = 1/(1-p) (unbiasedness at v = 0).
+        use crate::estimate::{LStar, MonotoneEstimator};
+        use crate::problem::Mep;
         use crate::quad::{integrate, QuadConfig};
+        use crate::scheme::TupleScheme;
         for &p in &[0.0, 0.2, 0.4] {
+            let closed_form = |u: f64| {
+                if p == 0.0 {
+                    -u.ln()
+                } else {
+                    (u.powf(-p) - 1.0) / p
+                }
+            };
             let fam = PowerGapFamily::new(p);
-            let cfg = QuadConfig::default();
-            let total = integrate(|u| fam.lstar_at_zero(u), 1e-12, 1.0, &cfg);
+            let mep = Mep::new(fam, TupleScheme::pps(&[1.0]).unwrap()).unwrap();
+            for &u in &[0.01, 0.3, 0.9] {
+                let outcome = mep.scheme().sample(&[0.0], u).unwrap();
+                let e = LStar::new().estimate(&mep, &outcome);
+                let expect = closed_form(u);
+                assert!((e - expect).abs() < 1e-6, "p={p} u={u}: {e} vs {expect}");
+            }
+            let total = integrate(closed_form, 1e-12, 1.0, &QuadConfig::default());
             let expect = 1.0 / (1.0 - p);
             assert!((total - expect).abs() < 1e-4, "p={p}: {total} vs {expect}");
         }

@@ -140,17 +140,17 @@ impl LowerHull {
         }
         total
     }
-
-    /// True if every hull vertex lies on or below the corresponding value of
-    /// `f` (within `tol`), i.e. the hull really is a minorant of `f`.
-    pub fn is_minorant_of<F: Fn(f64) -> f64>(&self, f: F, tol: f64) -> bool {
-        self.vertices.iter().all(|&(x, y)| y <= f(x) + tol)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True if every hull vertex lies on or below `f` (within `tol`), i.e.
+    /// the hull really is a minorant of `f`.
+    fn is_minorant(hull: &LowerHull, f: impl Fn(f64) -> f64, tol: f64) -> bool {
+        hull.vertices().iter().all(|&(x, y)| y <= f(x) + tol)
+    }
 
     fn sample<F: Fn(f64) -> f64>(f: F, n: usize) -> Vec<(f64, f64)> {
         (0..=n)
@@ -216,7 +216,7 @@ mod tests {
     fn minorant_check() {
         let pts = sample(|u| u.sqrt(), 100);
         let hull = LowerHull::of_points(&pts);
-        assert!(hull.is_minorant_of(|u| u.sqrt(), 1e-12));
+        assert!(is_minorant(&hull, |u| u.sqrt(), 1e-12));
     }
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
         pts.insert(0, (0.0, 0.16)); // limit point (0, f(v)) = (0, 0.4²)
         let hull = LowerHull::of_points(&pts);
         // Hull is below f everywhere and matches near u = 0.5.
-        assert!(hull.is_minorant_of(f, 1e-9));
+        assert!(is_minorant(&hull, f, 1e-9));
         assert!((hull.value(0.55) - f(0.55)).abs() < 1e-4);
         // Near zero the hull is strictly below the (flat) LB function.
         assert!(hull.value(0.05) < f(0.05) - 1e-3);

@@ -319,7 +319,9 @@ mod tests {
         let mep = rg1plus_mep();
         let lb = mep.data_lower_bound(&[0.6, 0.2]).unwrap();
         let hull = lb.hull(1e-6, 400);
-        assert!(hull.is_minorant_of(|u| if u == 0.0 { lb.target() } else { lb.eval(u) }, 1e-9));
+        // Minorant: every hull vertex lies on or below the LB function.
+        let lb_at = |u: f64| if u == 0.0 { lb.target() } else { lb.eval(u) };
+        assert!(hull.vertices().iter().all(|&(u, y)| y <= lb_at(u) + 1e-9));
         // Convexity: negated slopes non-increasing in u.
         let mut prev = f64::INFINITY;
         for w in hull.vertices().windows(2) {

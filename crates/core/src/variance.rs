@@ -11,7 +11,7 @@ use crate::estimate::{MonotoneEstimator, VOptimal};
 use crate::func::ItemFn;
 use crate::problem::Mep;
 use crate::quad::{log_grid, merge_into_grid, trapezoid};
-use crate::scheme::{EntryState, Outcome, ThresholdFn};
+use crate::scheme::ThresholdFn;
 
 /// Summary statistics of an estimator on one data vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -215,25 +215,6 @@ impl VarianceCalc {
     }
 }
 
-/// Rebuilds the (less-informative) outcome at seed `u` on the path of data
-/// `v` — convenience used by experiment binaries when sweeping curves.
-pub fn outcome_at<F: ItemFn, T: ThresholdFn>(
-    mep: &Mep<F, T>,
-    v: &[f64],
-    u: f64,
-) -> Result<Outcome> {
-    let scheme = mep.scheme();
-    let mut entries = Vec::with_capacity(v.len());
-    for i in 0..v.len() {
-        if v[i] >= scheme.thresholds()[i].cap(u) {
-            entries.push(EntryState::Known(v[i]));
-        } else {
-            entries.push(EntryState::Capped);
-        }
-    }
-    Outcome::from_parts(u, entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,16 +342,5 @@ mod tests {
             l.variance,
             u.variance
         );
-    }
-
-    #[test]
-    fn outcome_at_matches_scheme_sample() {
-        let mep = mep_p(1.0);
-        let v = [0.6, 0.2];
-        for &u in &[0.1, 0.4, 0.9] {
-            let a = outcome_at(&mep, &v, u).unwrap();
-            let b = mep.scheme().sample(&v, u).unwrap();
-            assert_eq!(a, b);
-        }
     }
 }

@@ -4,26 +4,6 @@
 use monotone_sketches::graph::{Graph, GraphBuilder};
 use rand::{Rng, RngExt};
 
-/// Erdős–Rényi `G(n, p)` with edge weights uniform in `[lo, hi]`.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1]` or the weight range is invalid.
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, lo: f64, hi: f64, rng: &mut R) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
-    assert!(0.0 < lo && lo <= hi, "invalid weight range");
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n as u32 {
-        for v in (u + 1)..n as u32 {
-            if rng.random::<f64>() < p {
-                let w = lo + (hi - lo) * rng.random::<f64>();
-                b.add_undirected(u, v, w);
-            }
-        }
-    }
-    b.build()
-}
-
 /// Preferential-attachment (Barabási–Albert) graph: each new node attaches
 /// to `m` existing nodes chosen proportionally to degree, with weights
 /// uniform in `[lo, hi]`. Degree skew mimics social networks.
@@ -103,20 +83,6 @@ pub fn grid<R: Rng + ?Sized>(rows: usize, cols: usize, lo: f64, hi: f64, rng: &m
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn erdos_renyi_edge_count() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let n = 100;
-        let p = 0.1;
-        let g = erdos_renyi(n, p, 0.5, 1.5, &mut rng);
-        let expect = (n * (n - 1) / 2) as f64 * p;
-        let got = g.arc_count() as f64 / 2.0;
-        assert!(
-            (got - expect).abs() < 0.25 * expect,
-            "edges {got} vs {expect}"
-        );
-    }
 
     #[test]
     fn preferential_attachment_is_skewed() {

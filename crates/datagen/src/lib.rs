@@ -11,10 +11,9 @@
 //! * [`zipf`] — heavy-tailed weights (Zipf ranks, Pareto tails, log-normal
 //!   churn factors);
 //! * [`pairs`] — two-instance datasets: [`pairs::flow_like`] (large
-//!   differences) and [`pairs::stable_like`] (small drift), plus
-//!   `r`-instance drifting panels;
-//! * [`graphs`] — Erdős–Rényi, preferential-attachment and grid graphs for
-//!   the closeness-similarity experiments.
+//!   differences) and [`pairs::stable_like`] (small drift);
+//! * [`graphs`] — preferential-attachment and grid graphs for the
+//!   closeness-similarity experiments.
 //!
 //! All generators are deterministic given an `rng` seed.
 

@@ -101,35 +101,6 @@ pub fn stable_like<R: Rng + ?Sized>(cfg: &PairConfig, rng: &mut R) -> Dataset {
     generate_pair(cfg, rng)
 }
 
-/// A panel of `r` instances following a base instance with per-instance
-/// drift `sigma` (temperature-style repeated measurements; used for
-/// `RGp`-over-r experiments).
-pub fn drifting_panel<R: Rng + ?Sized>(
-    keys: usize,
-    r: usize,
-    tail: f64,
-    sigma: f64,
-    rng: &mut R,
-) -> Dataset {
-    assert!(r >= 1, "need at least one instance");
-    let base: Vec<f64> = (0..keys).map(|_| pareto(rng, 1.0, tail)).collect();
-    let mut rows: Vec<Vec<(u64, f64)>> = vec![Vec::with_capacity(keys); r];
-    let mut max_w: f64 = 0.0;
-    for (key, &w) in base.iter().enumerate() {
-        for row in rows.iter_mut() {
-            let wi = w * lognormal_factor(rng, sigma);
-            max_w = max_w.max(wi);
-            row.push((key as u64, wi));
-        }
-    }
-    let inv = 1.0 / max_w;
-    Dataset::new(
-        rows.into_iter()
-            .map(|row| Instance::from_pairs(row.into_iter().map(|(k, w)| (k, w * inv))))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,11 +128,12 @@ mod tests {
     fn weights_normalized_to_unit_interval() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let d = flow_like(&PairConfig::flow(), &mut rng);
+        let heaviest = |inst: &Instance| inst.iter().map(|(_, w)| w).fold(0.0, f64::max);
         for inst in d.instances() {
-            assert!(inst.max_weight() <= 1.0 + 1e-12);
+            assert!(heaviest(inst) <= 1.0 + 1e-12);
             assert!(inst.iter().all(|(_, w)| w > 0.0));
         }
-        assert!(d.instance(0).max_weight() == 1.0 || d.instance(1).max_weight() == 1.0);
+        assert!(heaviest(d.instance(0)) == 1.0 || heaviest(d.instance(1)) == 1.0);
     }
 
     #[test]
@@ -174,20 +146,6 @@ mod tests {
         let births = b.keys().filter(|&k| a.weight(k) == 0.0).count();
         assert!(deaths > 0, "expected deaths");
         assert!(births > 0, "expected births");
-    }
-
-    #[test]
-    fn drifting_panel_shape() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let d = drifting_panel(100, 4, 1.5, 0.1, &mut rng);
-        assert_eq!(d.arity(), 4);
-        assert_eq!(d.instance(0).len(), 100);
-        // Small drift: tuples nearly constant.
-        let t = d.tuple(5);
-        let spread =
-            t.iter().cloned().fold(f64::MIN, f64::max) - t.iter().cloned().fold(f64::MAX, f64::min);
-        let level = t.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(spread < level, "spread {spread} vs level {level}");
     }
 
     #[test]

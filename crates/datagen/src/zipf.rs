@@ -57,16 +57,6 @@ impl Zipf {
         let u: f64 = rng.random();
         self.cdf.partition_point(|&c| c < u) + 1
     }
-
-    /// The probability of rank `i` (1-based).
-    pub fn pmf(&self, i: usize) -> f64 {
-        assert!((1..=self.cdf.len()).contains(&i), "rank out of range");
-        if i == 1 {
-            self.cdf[0]
-        } else {
-            self.cdf[i - 1] - self.cdf[i - 2]
-        }
-    }
 }
 
 /// A Pareto-distributed weight: `scale · u^{-1/alpha}`, heavy-tailed with
@@ -91,10 +81,20 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// The probability the sampler gives rank `i` (1-based): the step of
+    /// its cumulative weights at `i`.
+    fn rank_probability(z: &Zipf, i: usize) -> f64 {
+        if i == 1 {
+            z.cdf[0]
+        } else {
+            z.cdf[i - 1] - z.cdf[i - 2]
+        }
+    }
+
     #[test]
     fn pmf_sums_to_one() {
         let z = Zipf::new(50, 1.2);
-        let total: f64 = (1..=50).map(|i| z.pmf(i)).sum();
+        let total: f64 = (1..=50).map(|i| rank_probability(&z, i)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
@@ -109,10 +109,10 @@ mod tests {
         }
         for i in 1..=10 {
             let emp = counts[i - 1] as f64 / trials as f64;
-            let expect = z.pmf(i);
+            let expect = rank_probability(&z, i);
             assert!(
                 (emp - expect).abs() < 0.01,
-                "rank {i}: empirical {emp} vs pmf {expect}"
+                "rank {i}: empirical {emp} vs probability {expect}"
             );
         }
     }
@@ -120,8 +120,8 @@ mod tests {
     #[test]
     fn zipf_rank_one_dominates() {
         let z = Zipf::new(1000, 1.5);
-        assert!(z.pmf(1) > z.pmf(2));
-        assert!(z.pmf(2) > z.pmf(100));
+        assert!(rank_probability(&z, 1) > rank_probability(&z, 2));
+        assert!(rank_probability(&z, 2) > rank_probability(&z, 100));
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!   [`ClosedForms`] registration, for function families the query
 //!   builder does not know about;
 //! * **custom [`EstimationKernel`] impls** interpret the per-item
-//!   `(key, weights, seed)` stream however they like — the scenario
-//!   registry uses one to count sample overlaps over a group's item
-//!   union. A computation over known data vectors needs no kernel: it
+//!   `(key, weights, seed)` stream however they like — one can count
+//!   sample overlaps over a group's item union. A computation over known data vectors needs no kernel: it
 //!   runs directly over [`Engine::map_chunked`](crate::Engine::map_chunked).
 //!
 //! Closed forms are not special-cased in the engine: each function family
@@ -657,14 +656,6 @@ impl<F: ItemFn + Sync> FuncKernel<F> {
         let closed = f.closed_forms(scales);
         FuncKernel::new(f, scales, kinds, quad, closed)
     }
-
-    /// Which slots resolved to a registered closed form.
-    pub fn closed_slots(&self) -> Vec<bool> {
-        self.evals
-            .iter()
-            .map(|e| matches!(e, KindEval::Closed(_)))
-            .collect()
-    }
 }
 
 impl<F: ItemFn + Sync> EstimationKernel for FuncKernel<F> {
@@ -905,30 +896,5 @@ mod tests {
             QuadConfig::fast(),
         )
         .is_err());
-    }
-
-    #[test]
-    fn closed_slots_reflect_registration() {
-        let kernel = FuncKernel::auto(
-            RangePowPlus::new(1.0),
-            &[1.0, 1.0],
-            &[
-                EstimatorKind::LStar,
-                EstimatorKind::UStar,
-                EstimatorKind::HorvitzThompson,
-            ],
-            QuadConfig::fast(),
-        )
-        .unwrap();
-        assert_eq!(kernel.closed_slots(), vec![true, true, false]);
-        let generic = FuncKernel::new(
-            RangePowPlus::new(1.0),
-            &[1.0, 1.0],
-            &[EstimatorKind::LStar],
-            QuadConfig::fast(),
-            ClosedForms::none(),
-        )
-        .unwrap();
-        assert_eq!(generic.closed_slots(), vec![false]);
     }
 }

@@ -24,8 +24,7 @@
 //!   it into an [`EstimationKernel`]: prepare-once state, per-item
 //!   `evaluate` over the item's weights in every instance of the group,
 //!   with reusable scratch. Custom kernels plug straight into
-//!   [`Engine::run_kernel`] — the scenario registry counts sample
-//!   overlaps over a group's item union through the same batch loop;
+//!   [`Engine::run_kernel`] and run through the same batch loop;
 //! * **closed-form registration** — function families register their
 //!   closed forms per scheme ([`KernelFunc`]); `RGp+` under a common
 //!   scale dispatches to [`RgPlusLStar`] (`p ∈ {1, 2}`) and
@@ -97,16 +96,12 @@
 
 pub mod kernel;
 mod pool;
-pub mod runner;
-pub mod scenario;
 pub mod workload;
 
 pub use kernel::{
     ClosedForm, ClosedForms, EstimationKernel, FuncKernel, KernelFunc, KernelScratch,
 };
 pub use pool::chunk_bounds;
-pub use runner::{CsvArtifact, Runner, ScenarioRun, ScenarioTiming};
-pub use scenario::{CsvSpec, FinishOut, Registry, Scenario, UnitOut};
 
 pub use monotone_coord::source::{DomainSource, ItemSource, SketchUnion};
 

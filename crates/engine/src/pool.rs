@@ -78,66 +78,6 @@ impl Engine {
     }
 }
 
-impl Engine {
-    /// Dynamic-scheduling variant of [`Engine::map_chunked`]: workers
-    /// claim item indices from a shared atomic counter instead of owning
-    /// a static contiguous range, so skewed item costs no longer
-    /// serialize behind the slowest static chunk (the scenario runner's
-    /// work-stealing fallback when shards outnumber workers).
-    ///
-    /// Results still land in index-preassigned slots, so the output is
-    /// identical to [`Engine::map_chunked`] for every worker count —
-    /// scheduling order never leaks into the results.
-    pub fn map_stolen<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let workers = self.threads().min(items.len());
-        if workers <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let f = &f;
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            got.push((i, f(i, &items[i])));
-                        }
-                        got
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker panicked"))
-                .collect()
-        });
-        let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-        results.resize_with(items.len(), || None);
-        for bucket in buckets {
-            for (i, r) in bucket {
-                results[i] = Some(r);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every index is claimed by exactly one worker"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,45 +116,5 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(engine.map_chunked(&empty, |_, &x| x).is_empty());
         assert_eq!(engine.map_chunked(&[5u32], |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn map_stolen_matches_map_chunked() {
-        let items: Vec<u64> = (0..317).collect();
-        let reference = Engine::with_threads(1).map_chunked(&items, |i, &x| x * 3 + i as u64);
-        for threads in [1, 2, 3, 8] {
-            let engine = Engine::with_threads(threads);
-            assert_eq!(
-                engine.map_stolen(&items, |i, &x| x * 3 + i as u64),
-                reference,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn map_stolen_skewed_costs_stay_ordered() {
-        // Quadratic cost in the index: late items dominate. The dynamic
-        // pool must still return results in input order.
-        let items: Vec<usize> = (0..64).collect();
-        let engine = Engine::with_threads(4);
-        let out = engine.map_stolen(&items, |_, &n| {
-            let mut acc = 0u64;
-            for j in 0..(n * n * 100) as u64 {
-                acc = acc.wrapping_add(j ^ (acc >> 3));
-            }
-            (n, acc)
-        });
-        for (i, (n, _)) in out.iter().enumerate() {
-            assert_eq!(i, *n);
-        }
-    }
-
-    #[test]
-    fn map_stolen_empty_and_tiny() {
-        let engine = Engine::with_threads(4);
-        let empty: Vec<u32> = Vec::new();
-        assert!(engine.map_stolen(&empty, |_, &x| x).is_empty());
-        assert_eq!(engine.map_stolen(&[5u32], |_, &x| x + 1), vec![6]);
     }
 }

@@ -26,30 +26,30 @@ use crate::hip::item_threshold;
 /// Unreachable nodes contribute `α(∞) = 0`; `alpha` must be non-increasing
 /// with `alpha(0) > 0`.
 pub fn exact_closeness<A: Fn(f64) -> f64>(g: &Graph, a: u32, b: u32, alpha: &A) -> f64 {
+    let (num, den) = exact_closeness_sums(g, a, b, alpha);
+    if den > 0.0 {
+        num / den
+    } else {
+        1.0
+    }
+}
+
+/// The exact numerator and denominator sums of [`exact_closeness`].
+fn exact_closeness_sums<A: Fn(f64) -> f64>(g: &Graph, a: u32, b: u32, alpha: &A) -> (f64, f64) {
     let da = dijkstra(g, a);
     let db = dijkstra(g, b);
     let mut num = 0.0;
     let mut den = 0.0;
     for i in 0..g.node_count() {
         let (x, y) = (da[i], db[i]);
-        let hi = if x.max(y).is_finite() {
-            alpha(x.max(y))
-        } else {
-            0.0
-        };
-        let lo = if x.min(y).is_finite() {
-            alpha(x.min(y))
-        } else {
-            0.0
-        };
-        num += hi;
-        den += lo;
+        if x.max(y).is_finite() {
+            num += alpha(x.max(y));
+        }
+        if x.min(y).is_finite() {
+            den += alpha(x.min(y));
+        }
     }
-    if den > 0.0 {
-        num / den
-    } else {
-        1.0
-    }
+    (num, den)
 }
 
 /// Sketch-based closeness estimation: L\* estimates of the numerator and
@@ -145,24 +145,6 @@ impl<'a, A: Fn(f64) -> f64> ClosenessEstimator<'a, A> {
     }
 }
 
-/// Exact numerator/denominator sums (for testing the estimates).
-pub fn exact_sums<A: Fn(f64) -> f64>(g: &Graph, a: u32, b: u32, alpha: &A) -> (f64, f64) {
-    let da = dijkstra(g, a);
-    let db = dijkstra(g, b);
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for i in 0..g.node_count() {
-        let (x, y) = (da[i], db[i]);
-        if x.max(y).is_finite() {
-            num += alpha(x.max(y));
-        }
-        if x.min(y).is_finite() {
-            den += alpha(x.min(y));
-        }
-    }
-    (num, den)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +207,7 @@ mod tests {
         let est = ClosenessEstimator::new(&sketches, n, alpha);
         for (a, b) in [(0u32, 1u32), (3, 9)] {
             let (num, den) = est.estimate_sums(a, b).unwrap();
-            let (tn, td) = exact_sums(&g, a, b, &alpha);
+            let (tn, td) = exact_closeness_sums(&g, a, b, &alpha);
             assert!((num - tn).abs() < 1e-6, "num {num} vs {tn}");
             assert!((den - td).abs() < 1e-6, "den {den} vs {td}");
         }
@@ -239,7 +221,7 @@ mod tests {
         let g = random_graph(n, 15, 23);
         let k = 4;
         let (a, b) = (0u32, 1u32);
-        let (tn, td) = exact_sums(&g, a, b, &alpha);
+        let (tn, td) = exact_closeness_sums(&g, a, b, &alpha);
         let trials = 150;
         let (mut sn, mut sd) = (0.0, 0.0);
         for salt in 0..trials {

@@ -48,21 +48,6 @@ pub fn hip_probabilities(ads: &Ads, k: usize) -> Vec<(u32, f64, f64)> {
     out
 }
 
-/// The HIP estimate of the `d`-neighborhood cardinality
-/// `|{w : dist(v, w) <= d}|`: the sum of inverse HIP probabilities over
-/// entries within distance `d` (the estimator of \[8\]).
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn estimate_neighborhood_size(ads: &Ads, k: usize, d: f64) -> f64 {
-    hip_probabilities(ads, k)
-        .into_iter()
-        .take_while(|&(_, dist, _)| dist <= d)
-        .map(|(_, _, p)| 1.0 / p)
-        .sum()
-}
-
 /// The per-item threshold function induced by a sketch on the α-value scale.
 ///
 /// For an item with seed (rank) `u`, the sketch of `v` includes it iff its
@@ -180,7 +165,9 @@ mod tests {
 
     #[test]
     fn neighborhood_size_estimate_unbiased() {
-        // Average the HIP cardinality estimate over many rank assignments.
+        // Average the HIP cardinality estimate of \[8\] — the sum of inverse
+        // HIP probabilities over the entries within the horizon — over
+        // many rank assignments.
         let n = 50;
         let g = random_graph(n, 10, 17);
         let k = 4;
@@ -193,7 +180,11 @@ mod tests {
         for salt in 0..trials {
             let seeder = SeedHasher::new(1000 + salt);
             let sketches = build_all_ads(&g, k, &seeder);
-            total += estimate_neighborhood_size(&sketches[v as usize], k, horizon);
+            total += hip_probabilities(&sketches[v as usize], k)
+                .into_iter()
+                .take_while(|&(_, dist, _)| dist <= horizon)
+                .map(|(_, _, p)| 1.0 / p)
+                .sum::<f64>();
         }
         let mean = total / trials as f64;
         assert!(

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use monotone_core::Error;
 use monotone_engine::{Engine, EngineQuery};
 use monotone_store::banding::BandConfig;
-use monotone_store::{ProcessShard, ShardBackend, SketchStore};
+use monotone_store::{LocalShard, ProcessShard, ShardBackend, SketchStore};
 use proptest::prelude::*;
 
 /// This build's `shard_worker` binary as a backend command.
@@ -143,6 +143,60 @@ fn bad_weights_are_refused_whole_by_local_shards() {
 #[test]
 fn bad_weights_are_refused_whole_by_process_shards() {
     assert_bad_batches_change_nothing(process_store(16, 0xbad_3e1, 2));
+}
+
+/// A [`ProcessShard`] returns the `Err` values a [`LocalShard`] with the
+/// same `k` and salt returns: before `enable_live_index`, each live read
+/// is refused with the same typed error on both shards. After the same
+/// batch and the same live config, the two give the same answers.
+#[test]
+fn process_shard_returns_local_shard_errors_and_answers() {
+    let (k, salt) = (16, 0xe770_2014);
+    let local = LocalShard::new(k, salt);
+    let process = ProcessShard::spawn(worker_command(), 0, k, salt).expect("spawn shard worker");
+    let sig = [(0u32, 7u64)];
+    assert!(matches!(local.live_partial(), Err(Error::NotApplicable(_))));
+    assert_eq!(process.live_partial().err(), local.live_partial().err());
+    assert_eq!(process.live_signature(3), local.live_signature(3));
+    assert_eq!(process.live_candidates(&sig), local.live_candidates(&sig));
+    assert!(local.live_signature(3).is_err() && local.live_candidates(&sig).is_err());
+
+    let instances = 6u64;
+    for id in 0..instances {
+        let items: Vec<(u64, f64)> = (0..40)
+            .map(|j| {
+                let key = id * 5 + j;
+                (key, 0.5 + (key % 7) as f64)
+            })
+            .collect();
+        local.ingest_all(id, &items).unwrap();
+        process.ingest_all(id, &items).unwrap();
+    }
+    let cfg = BandConfig::new(8, 2, 0x5eed);
+    local.enable_live_index(&cfg).unwrap();
+    process.enable_live_index(&cfg).unwrap();
+    // One id past the residents: both shards answer `None`.
+    for id in 0..=instances {
+        let want = local.live_signature(id).unwrap();
+        assert_eq!(process.live_signature(id).unwrap(), want, "id {id}");
+        if let Some(sig) = &want {
+            assert_eq!(
+                process.live_candidates(sig).unwrap(),
+                local.live_candidates(sig).unwrap(),
+                "id {id}"
+            );
+        }
+    }
+    let (want, got) = (
+        local.live_partial().unwrap(),
+        process.live_partial().unwrap(),
+    );
+    assert!(!want.candidate_pairs().is_empty());
+    assert_eq!(got.len(), want.len());
+    assert_eq!(got.candidate_pairs(), want.candidate_pairs());
+    for id in 0..instances {
+        assert_eq!(got.signature(id), want.signature(id), "id {id}");
+    }
 }
 
 proptest! {
