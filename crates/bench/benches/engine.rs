@@ -115,7 +115,7 @@ fn main() {
     // separately.
     let engine_1t = Engine::with_threads(1);
     let engine_par = Engine::new();
-    let query = EngineQuery::rg_plus(1.0, 1.0).with_quad(QuadConfig::fast());
+    let query = EngineQuery::rg_plus(1.0, 1.0);
 
     // Criterion micro-comparison on a small batch.
     let small = jobs_of(&pool, 200);
@@ -175,9 +175,7 @@ fn main() {
     // The same batched workload with closed forms deregistered: every L*
     // goes through the generic quadrature kernel — what the kernel
     // layer's closed-form registration saves.
-    let generic_query = EngineQuery::rg_plus(1.0, 1.0)
-        .with_quad(QuadConfig::fast())
-        .without_closed_forms();
+    let generic_query = EngineQuery::rg_plus(1.0, 1.0).without_closed_forms();
     let (kernel_generic_secs, total_kernel_generic) =
         timed(|| batched(&engine_1t, &jobs, &generic_query));
 

@@ -1,9 +1,9 @@
 //! Pluggable estimation kernels: the prepare-once / evaluate-per-item
 //! layer behind [`Engine::run`](crate::Engine::run).
 //!
-//! A *kernel* is everything a query derives exactly once — the MEP, the
-//! per-estimator dispatch (closed form where one is registered, generic
-//! fallback otherwise), quadrature configuration — packaged behind the
+//! A *kernel* is everything a query derives exactly once — the MEP and
+//! the per-estimator dispatch (closed form where one is registered,
+//! generic fallback otherwise) — packaged behind the
 //! [`EstimationKernel`] trait so the engine's batch loop is the same for
 //! every function family, scheme, estimator set, **and arity**: the item
 //! stream hands each kernel one shared seed plus the item's weights in
@@ -16,25 +16,25 @@
 //! Three layers of customization:
 //!
 //! * **queries** ([`EngineQuery`](crate::EngineQuery)) cover the built-in
-//!   function families over per-instance PPS scales — most callers stop
-//!   here;
-//! * **[`FuncKernel`]** accepts *any* [`ItemFn`] plus an explicit
-//!   [`ClosedForms`] registration, for function families the query
-//!   builder does not know about;
+//!   function families over per-instance PPS scales, with the closed
+//!   forms those families have — most callers stop here;
+//! * **[`FuncKernel::new`]** accepts *any* [`ItemFn`] and runs every
+//!   estimator on its generic path, for function families the query
+//!   builder does not know about (`min`/`max` sums among them);
 //! * **custom [`EstimationKernel`] impls** interpret the per-item
 //!   `(key, weights, seed)` stream however they like — one can count
 //!   sample overlaps over a group's item union. A computation over known data vectors needs no kernel: it
 //!   runs directly over [`Engine::map_chunked`](crate::Engine::map_chunked).
 //!
-//! Closed forms are not special-cased in the engine: each function family
-//! *registers* the fast paths it has for a given scheme via
-//! [`KernelFunc::closed_forms`], and [`FuncKernel`] resolves every
-//! requested [`EstimatorKind`] against that registration when the kernel
-//! is built — `RGp+` under a common scale registers
-//! [`RgPlusLStar`]/[`RgPlusUStar`] (pair schemes only), the distinct-count
-//! indicator registers its inverse-probability form for **any arity and
-//! scale vector**, and everything else falls back to the generic
-//! quadrature/integration estimators.
+//! Closed forms are registered in one place, the query builder: `RGp+`
+//! under a common scale registers [`RgPlusLStar`]/[`RgPlusUStar`] (pair
+//! schemes only), the distinct-count indicator registers its
+//! inverse-probability form for **any arity and scale vector**, and every
+//! other estimator slot runs the generic quadrature/integration
+//! estimators. Each closed form is one sweep over staged items: a kernel
+//! whose slots are all closed forms sweeps whole chunks, and a kernel
+//! with a generic slot sweeps each item's one-row slice inside its
+//! per-item pass.
 //!
 //! # Examples
 //!
@@ -181,7 +181,7 @@
 use monotone_core::estimate::{
     DyadicJ, HorvitzThompson, LStar, MonotoneEstimator, RgPlusLStar, RgPlusUStar, UStar,
 };
-use monotone_core::func::{DistinctOr, ItemFn, LinearAbsPow, RangePowPlus, TupleMax, TupleMin};
+use monotone_core::func::ItemFn;
 use monotone_core::problem::{LbScratch, Mep};
 use monotone_core::quad::QuadConfig;
 use monotone_core::scheme::{EntryState, LinearThreshold, Outcome, TupleScheme};
@@ -189,21 +189,14 @@ use monotone_core::{Error, Result};
 
 use super::EstimatorKind;
 
-/// Reusable per-worker buffers threaded through a kernel's item loop:
-/// a recycled [`Outcome`] entry vector, a sampled-values buffer, and the
-/// lower-bound work vectors of the generic estimators. One scratch lives
-/// per in-flight job, so batch loops pay zero allocations per sampled
-/// item.
+/// Reusable per-worker buffers threaded through a kernel's item loop: a
+/// recycled [`Outcome`] entry vector and the lower-bound work vectors of
+/// the generic estimators. One scratch lives per in-flight job, so batch
+/// loops pay zero allocations per sampled item.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
-    /// Recycled outcome entry buffer (take with [`std::mem::take`], hand
-    /// back via [`Outcome::into_parts`]).
-    pub entries: Vec<EntryState>,
-    /// Recycled per-instance sampled-value buffer (`Some(w)` where the
-    /// item cleared its instance's threshold at the shared seed).
-    pub values: Vec<Option<f64>>,
-    /// Recycled lower-bound buffers for quadrature-backed estimators.
-    pub lb: LbScratch,
+    entries: Vec<EntryState>,
+    lb: LbScratch,
 }
 
 impl KernelScratch {
@@ -300,36 +293,20 @@ pub trait EstimationKernel: Sync {
         scratch: &mut KernelScratch,
         out: &mut [f64],
     ) -> Result<usize> {
-        evaluate_each(self, keys, weights, arity, seeds, scratch, out)
+        let mut sampled = 0;
+        for (i, (&key, &u)) in keys.iter().zip(seeds).enumerate() {
+            let row = &weights[i * arity..(i + 1) * arity];
+            sampled += usize::from(self.evaluate(key, row, u, scratch, out)?);
+        }
+        Ok(sampled)
     }
 }
 
-/// The per-item chunk loop: [`EstimationKernel::evaluate`] on every
-/// staged item in item order, counting those with sampled evidence.
-/// Shared by the trait's default `evaluate_many` and by [`FuncKernel`]'s
-/// whenever a slot needs a materialized outcome.
-fn evaluate_each<K: EstimationKernel + ?Sized>(
-    kernel: &K,
-    keys: &[u64],
-    weights: &[f64],
-    arity: usize,
-    seeds: &[f64],
-    scratch: &mut KernelScratch,
-    out: &mut [f64],
-) -> Result<usize> {
-    let mut sampled = 0;
-    for (i, (&key, &u)) in keys.iter().zip(seeds).enumerate() {
-        let row = &weights[i * arity..(i + 1) * arity];
-        sampled += usize::from(kernel.evaluate(key, row, u, scratch, out)?);
-    }
-    Ok(sampled)
-}
-
-/// A closed-form per-item evaluator from raw sampled values (`None` =
-/// capped entry) and the shared seed — the allocation-free fast path a
-/// function family can register for a scheme.
+/// A closed-form estimator registered for a query's function family and
+/// scales (`EngineQuery::registered_closed_forms`): it reads raw weights
+/// and seeds, so it needs no materialized [`Outcome`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum ClosedForm {
+pub(crate) enum ClosedForm {
     /// [`RgPlusLStar`]: L\* for `RGp+`, `p ∈ {1, 2}`, common PPS scale
     /// (pair schemes).
     RgPlusL(RgPlusLStar),
@@ -341,99 +318,30 @@ pub enum ClosedForm {
     /// Eq. (31) collapses to the inverse of the largest inclusion
     /// probability among sampled entries (and coincides with
     /// Horvitz-Thompson).
-    DistinctL {
-        /// The per-instance PPS scales.
-        scales: Vec<f64>,
-    },
+    DistinctL,
 }
 
 impl ClosedForm {
-    /// The estimate from the raw sampled values of every instance
-    /// (`known[i] = Some(w)` iff instance `i` sampled the item) plus the
-    /// shared seed.
-    ///
-    /// # Panics
-    ///
-    /// The `RGp+` forms are pair forms: they panic unless
-    /// `known.len() == 2`.
-    pub fn eval(&self, known: &[Option<f64>], u: f64) -> f64 {
+    /// Sweeps staged items — row-major `[item][instance]` `weights`, one
+    /// row per seed and one column per PPS scale — adding each sampled
+    /// item's estimate into `acc` in item order, and returns how many
+    /// items carried sampled evidence (any instance's weight cleared its
+    /// threshold `w ≥ u·scale`). The threshold tests are fused into the
+    /// sweep and the variant match happens once per sweep. Estimates are
+    /// added in item order and items with no sampled entry are skipped
+    /// (not added as an explicit zero), so one sweep over a chunk is
+    /// bit-identical to one sweep per row.
+    fn sweep(&self, weights: &[f64], scales: &[f64], seeds: &[f64], acc: &mut f64) -> usize {
         match self {
-            ClosedForm::RgPlusL(c) => {
-                assert_eq!(known.len(), 2, "RGp+ closed forms are pair forms");
-                c.estimate_values(known[0], known[1], u)
-            }
-            ClosedForm::RgPlusU(c) => {
-                assert_eq!(known.len(), 2, "RGp+ closed forms are pair forms");
-                c.estimate_values(known[0], known[1], u)
-            }
-            ClosedForm::DistinctL { scales } => {
-                let q = known
-                    .iter()
-                    .zip(scales)
-                    .map(|(v, &s)| v.map_or(0.0, |w| (w / s).min(1.0)))
-                    .fold(0.0f64, f64::max);
-                if q > 0.0 {
-                    1.0 / q
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    /// Chunk-wide evaluation over a row-major `[item][instance]` staged
-    /// weight buffer plus the chunk's seeds, accumulating into `acc` one
-    /// item at a time in item order and returning how many items carried
-    /// sampled evidence (any instance's weight cleared its threshold —
-    /// the same count every form observes, letting the caller take it
-    /// from the first sweep for free). The threshold tests (`w ≥
-    /// u·scale`) are fused into each form's sweep, and the variant match
-    /// happens once per chunk instead of once per item, so the inner
-    /// loops are monomorphic, allocation-free, and branch-predictable —
-    /// bit-identical to the per-item path of
-    /// [`FuncKernel::evaluate`](EstimationKernel::evaluate), because each
-    /// item's sampled values come from the same comparisons, each
-    /// estimate is added to the running accumulator in the same order,
-    /// and items with no sampled entry are skipped (not added as an
-    /// explicit zero).
-    fn eval_chunk(
-        &self,
-        weights: &[f64],
-        scales: &[f64],
-        arity: usize,
-        seeds: &[f64],
-        acc: &mut f64,
-    ) -> usize {
-        let mut sampled = 0;
-        match self {
-            ClosedForm::RgPlusL(c) => {
-                debug_assert_eq!(arity, 2, "RGp+ closed forms are pair forms");
-                let (s0, s1) = (scales[0], scales[1]);
-                for (row, &u) in weights.chunks_exact(2).zip(seeds) {
-                    let (w0, w1) = (row[0], row[1]);
-                    let v1 = (w0 > 0.0 && w0 >= u * s0).then_some(w0);
-                    let v2 = (w1 > 0.0 && w1 >= u * s1).then_some(w1);
-                    if v1.is_some() || v2.is_some() {
-                        sampled += 1;
-                        *acc += c.estimate_values(v1, v2, u);
-                    }
-                }
-            }
-            ClosedForm::RgPlusU(c) => {
-                debug_assert_eq!(arity, 2, "RGp+ closed forms are pair forms");
-                let (s0, s1) = (scales[0], scales[1]);
-                for (row, &u) in weights.chunks_exact(2).zip(seeds) {
-                    let (w0, w1) = (row[0], row[1]);
-                    let v1 = (w0 > 0.0 && w0 >= u * s0).then_some(w0);
-                    let v2 = (w1 > 0.0 && w1 >= u * s1).then_some(w1);
-                    if v1.is_some() || v2.is_some() {
-                        sampled += 1;
-                        *acc += c.estimate_values(v1, v2, u);
-                    }
-                }
-            }
-            ClosedForm::DistinctL { scales } => {
-                for (row, &u) in weights.chunks_exact(arity).zip(seeds) {
+            ClosedForm::RgPlusL(c) => pair_sweep(weights, scales, seeds, acc, |v1, v2, u| {
+                c.estimate_values(v1, v2, u)
+            }),
+            ClosedForm::RgPlusU(c) => pair_sweep(weights, scales, seeds, acc, |v1, v2, u| {
+                c.estimate_values(v1, v2, u)
+            }),
+            ClosedForm::DistinctL => {
+                let mut sampled = 0;
+                for (row, &u) in weights.chunks_exact(scales.len()).zip(seeds) {
                     let mut q = 0.0f64;
                     for (&w, &s) in row.iter().zip(scales) {
                         if w > 0.0 && w >= u * s {
@@ -447,90 +355,35 @@ impl ClosedForm {
                         *acc += 1.0 / q;
                     }
                 }
+                sampled
             }
         }
-        sampled
     }
 }
 
-/// The closed forms a function family registers for a scheme: the fast
-/// paths [`FuncKernel`] dispatches to instead of the generic
-/// quadrature/integration estimators.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClosedForms {
-    /// Closed-form L\*, when the family has one for the scheme.
-    pub lstar: Option<ClosedForm>,
-    /// Closed-form U\*.
-    pub ustar: Option<ClosedForm>,
-}
-
-impl ClosedForms {
-    /// No closed forms: every estimator uses its generic fallback.
-    pub fn none() -> ClosedForms {
-        ClosedForms::default()
-    }
-}
-
-/// Closed-form registration hook: a function family inspects the
-/// scheme's per-instance PPS scales (one per instance of the group) and
-/// registers whatever fast paths it has. The default registers nothing —
-/// generic fallbacks handle any [`ItemFn`] — so families only implement
-/// this when they have something to say.
-pub trait KernelFunc: ItemFn {
-    /// The closed forms this family offers under per-instance PPS scales.
-    fn closed_forms(&self, scales: &[f64]) -> ClosedForms {
-        let _ = scales;
-        ClosedForms::none()
-    }
-}
-
-impl KernelFunc for RangePowPlus {
-    /// `RGp+` registers its L\* closed form for `p ∈ {1, 2}` and its U\*
-    /// closed form for every `p > 0` — but only for pair schemes under a
-    /// *common* scale, where the Example 4 derivations hold.
-    fn closed_forms(&self, scales: &[f64]) -> ClosedForms {
-        // Degenerate scales register nothing — kernel construction reports
-        // them as typed errors rather than closed-form constructor panics.
-        // Neither does a scale at or below `f64::MIN_POSITIVE`, the scale
-        // a lossless sketch reports: the closed forms compute `v / scale`,
-        // which overflows there, while the generic estimators stay exact.
-        if scales.len() != 2
-            || scales[0] != scales[1]
-            || !(scales[0].is_finite() && scales[0] > f64::MIN_POSITIVE)
-        {
-            return ClosedForms::none();
-        }
-        let (p, scale) = (self.p(), scales[0]);
-        let lstar = if p == 1.0 {
-            Some(ClosedForm::RgPlusL(RgPlusLStar::new(1, scale)))
-        } else if p == 2.0 {
-            Some(ClosedForm::RgPlusL(RgPlusLStar::new(2, scale)))
-        } else {
-            None
-        };
-        ClosedForms {
-            lstar,
-            ustar: Some(ClosedForm::RgPlusU(RgPlusUStar::new(p, scale))),
+/// The sweep both `RGp+` forms share: over pair rows, the sampled value
+/// of each entry (`None` = capped) and the seed go to `estimate`.
+fn pair_sweep(
+    weights: &[f64],
+    scales: &[f64],
+    seeds: &[f64],
+    acc: &mut f64,
+    estimate: impl Fn(Option<f64>, Option<f64>, f64) -> f64,
+) -> usize {
+    debug_assert_eq!(scales.len(), 2, "RGp+ closed forms are pair forms");
+    let (s0, s1) = (scales[0], scales[1]);
+    let mut sampled = 0;
+    for (row, &u) in weights.chunks_exact(2).zip(seeds) {
+        let (w0, w1) = (row[0], row[1]);
+        let v1 = (w0 > 0.0 && w0 >= u * s0).then_some(w0);
+        let v2 = (w1 > 0.0 && w1 >= u * s1).then_some(w1);
+        if v1.is_some() || v2.is_some() {
+            sampled += 1;
+            *acc += estimate(v1, v2, u);
         }
     }
+    sampled
 }
-
-impl KernelFunc for DistinctOr {
-    /// The OR indicator's L\* collapses to inverse inclusion probability
-    /// under any per-instance scale vector, at any arity.
-    fn closed_forms(&self, scales: &[f64]) -> ClosedForms {
-        ClosedForms {
-            lstar: Some(ClosedForm::DistinctL {
-                scales: scales.to_vec(),
-            }),
-            ustar: None,
-        }
-    }
-}
-
-impl KernelFunc for TupleMin {}
-impl KernelFunc for TupleMax {}
-impl KernelFunc for LinearAbsPow {}
 
 /// Resolved dispatch for one requested estimator slot.
 #[derive(Debug)]
@@ -549,26 +402,21 @@ enum KindEval {
 
 /// The engine's standard kernel: any [`ItemFn`] over a coordinated
 /// scheme with per-instance PPS scales — one scale per instance of the
-/// job group, at any arity — evaluating a set of [`EstimatorKind`]s with
-/// closed-form fast paths where the family registered them.
+/// job group, at any arity — evaluating a set of [`EstimatorKind`]s.
+/// Kernels an [`EngineQuery`](crate::EngineQuery) compiles use the
+/// closed forms its families register; [`FuncKernel::new`] runs every
+/// estimator on its generic path.
 ///
 /// # Examples
 ///
 /// ```
 /// use monotone_core::func::TupleMax;
-/// use monotone_core::quad::QuadConfig;
 /// use monotone_coord::instance::Instance;
 /// use monotone_engine::{Engine, EstimatorKind, FuncKernel, PairJob};
 ///
-/// // max(v1, v2) aggregates under asymmetric PPS scales — no closed
-/// // form registered, so L* runs through the generic quadrature path.
-/// let kernel = FuncKernel::auto(
-///     TupleMax::new(2),
-///     &[1.0, 2.0],
-///     &[EstimatorKind::LStar],
-///     QuadConfig::fast(),
-/// )
-/// .unwrap();
+/// // max(v1, v2) aggregates under asymmetric PPS scales: L* runs
+/// // through the generic quadrature path.
+/// let kernel = FuncKernel::new(TupleMax::new(2), &[1.0, 2.0], &[EstimatorKind::LStar]).unwrap();
 /// let a = Instance::from_pairs((0..40u64).map(|k| (k, 0.3 + (k % 5) as f64 / 10.0)));
 /// let b = Instance::from_pairs((0..40u64).map(|k| (k, 0.2 + (k % 7) as f64 / 10.0)));
 /// let jobs: Vec<PairJob> = (0..8).map(|salt| PairJob::new(&a, &b, salt)).collect();
@@ -581,29 +429,32 @@ pub struct FuncKernel<F: ItemFn> {
     scales: Vec<f64>,
     kinds: Vec<EstimatorKind>,
     evals: Vec<KindEval>,
-    /// Whether any slot needs a materialized [`Outcome`] (closed forms
-    /// work from raw values).
-    needs_outcome: bool,
+    /// Whether there are slots and every one is a closed form: then
+    /// whole chunks sweep through them, with no outcome per item.
+    all_closed: bool,
 }
 
 impl<F: ItemFn + Sync> FuncKernel<F> {
     /// Builds a kernel from a function, per-instance scales (the arity of
-    /// `f` fixes the group arity), an estimator set, the quadrature
-    /// configuration for generic fallbacks, and an explicit closed-form
-    /// registration (use [`FuncKernel::auto`] to let the family register
-    /// its own).
+    /// `f` fixes the group arity) and an estimator set, with every
+    /// estimator on its generic path.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidScale`] for non-finite or non-positive
     /// scales and [`Error::ArityMismatch`] when `f`'s arity differs from
     /// the scale count.
-    pub fn new(
+    pub fn new(f: F, scales: &[f64], kinds: &[EstimatorKind]) -> Result<FuncKernel<F>> {
+        FuncKernel::with_closed_forms(f, scales, kinds, [None, None])
+    }
+
+    /// [`FuncKernel::new`] with registered closed forms `[L*, U*]` in
+    /// place of those slots' generic estimators.
+    pub(crate) fn with_closed_forms(
         f: F,
         scales: &[f64],
         kinds: &[EstimatorKind],
-        quad: QuadConfig,
-        closed: ClosedForms,
+        [lstar, ustar]: [Option<ClosedForm>; 2],
     ) -> Result<FuncKernel<F>> {
         for &s in scales {
             if !(s.is_finite() && s > 0.0) {
@@ -614,47 +465,76 @@ impl<F: ItemFn + Sync> FuncKernel<F> {
         let evals: Vec<KindEval> = kinds
             .iter()
             .map(|kind| match kind {
-                EstimatorKind::LStar => closed
-                    .lstar
+                EstimatorKind::LStar => lstar.clone().map_or_else(
+                    || KindEval::GenericL(LStar::with_quad(QuadConfig::fast())),
+                    KindEval::Closed,
+                ),
+                EstimatorKind::UStar => ustar
                     .clone()
-                    .map(KindEval::Closed)
-                    .unwrap_or_else(|| KindEval::GenericL(LStar::with_quad(quad))),
-                EstimatorKind::UStar => closed
-                    .ustar
-                    .clone()
-                    .map(KindEval::Closed)
-                    .unwrap_or_else(|| KindEval::GenericU(UStar::new())),
+                    .map_or_else(|| KindEval::GenericU(UStar::new()), KindEval::Closed),
                 EstimatorKind::HorvitzThompson => KindEval::Ht(HorvitzThompson::new()),
                 EstimatorKind::DyadicJ => KindEval::J(DyadicJ::new()),
             })
             .collect();
-        let needs_outcome = evals.iter().any(|e| !matches!(e, KindEval::Closed(_)));
+        let all_closed =
+            !evals.is_empty() && evals.iter().all(|e| matches!(e, KindEval::Closed(_)));
         Ok(FuncKernel {
             mep,
             scales: scales.to_vec(),
             kinds: kinds.to_vec(),
             evals,
-            needs_outcome,
+            all_closed,
         })
     }
 
-    /// [`FuncKernel::new`] with the closed forms the function family
-    /// registers for these scales ([`KernelFunc::closed_forms`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`FuncKernel::new`].
-    pub fn auto(
-        f: F,
-        scales: &[f64],
-        kinds: &[EstimatorKind],
-        quad: QuadConfig,
-    ) -> Result<FuncKernel<F>>
-    where
-        F: KernelFunc,
-    {
-        let closed = f.closed_forms(scales);
-        FuncKernel::new(f, scales, kinds, quad, closed)
+    /// One item of the per-item pass: its outcome at seed `u` (known
+    /// iff the weight clears the instance's threshold) through every
+    /// slot, closed forms sweeping the item's one row.
+    fn evaluate_row(
+        &self,
+        row: &[f64],
+        u: f64,
+        scratch: &mut KernelScratch,
+        out: &mut [f64],
+    ) -> Result<bool> {
+        // Recycle the entry buffer across items: from_parts consumes a
+        // Vec, into_parts below hands it back.
+        let mut entries = std::mem::take(&mut scratch.entries);
+        entries.clear();
+        let mut any = false;
+        for (&w, &s) in row.iter().zip(&self.scales) {
+            let known = w > 0.0 && w >= u * s;
+            any |= known;
+            entries.push(if known {
+                EntryState::Known(w)
+            } else {
+                EntryState::Capped
+            });
+        }
+        if !any {
+            // No sampled evidence: every estimator here yields 0 (all-capped
+            // outcomes have zero lower bound), exactly as the per-call query
+            // path skips items absent from all samples.
+            scratch.entries = entries;
+            return Ok(false);
+        }
+        let outcome = Outcome::from_parts(u, entries)?;
+        for (slot, eval) in self.evals.iter().enumerate() {
+            let acc = &mut out[slot];
+            match eval {
+                KindEval::Closed(form) => {
+                    form.sweep(row, &self.scales, &[u], acc);
+                }
+                KindEval::GenericL(l) => {
+                    *acc += l.estimate_with(&self.mep, &outcome, &mut scratch.lb)
+                }
+                KindEval::GenericU(us) => *acc += us.estimate(&self.mep, &outcome),
+                KindEval::Ht(ht) => *acc += ht.estimate(&self.mep, &outcome),
+                KindEval::J(j) => *acc += j.estimate(&self.mep, &outcome),
+            }
+        }
+        scratch.entries = outcome.into_parts().1;
+        Ok(true)
     }
 }
 
@@ -671,121 +551,53 @@ impl<F: ItemFn + Sync> EstimationKernel for FuncKernel<F> {
         self.mep.f().eval(weights)
     }
 
+    /// [`evaluate_many`](EstimationKernel::evaluate_many) over the one row.
     fn evaluate(
         &self,
-        _key: u64,
+        key: u64,
         weights: &[f64],
         u: f64,
         scratch: &mut KernelScratch,
         out: &mut [f64],
     ) -> Result<bool> {
-        // Sampled values per instance: known iff the weight clears the
-        // instance's threshold at the shared seed.
-        scratch.values.resize(weights.len(), None);
-        let mut any = false;
-        for ((&w, &s), slot) in weights.iter().zip(&self.scales).zip(&mut scratch.values) {
-            let v = (w > 0.0 && w >= u * s).then_some(w);
-            any |= v.is_some();
-            *slot = v;
-        }
-        if !any {
-            // No sampled evidence: every estimator here yields 0 (all-capped
-            // outcomes have zero lower bound), exactly as the per-call query
-            // path skips items absent from all samples.
-            return Ok(false);
-        }
-        let outcome = if self.needs_outcome {
-            // Recycle the entry buffer across items: from_parts consumes a
-            // Vec, into_parts below hands it back.
-            let mut entries = std::mem::take(&mut scratch.entries);
-            entries.clear();
-            entries.extend(
-                scratch
-                    .values
-                    .iter()
-                    .map(|v| v.map_or(EntryState::Capped, EntryState::Known)),
-            );
-            Some(Outcome::from_parts(u, entries)?)
-        } else {
-            None
-        };
-        {
-            let outcome = outcome.as_ref();
-            for (slot, eval) in self.evals.iter().enumerate() {
-                out[slot] += match eval {
-                    KindEval::Closed(form) => form.eval(&scratch.values, u),
-                    KindEval::GenericL(l) => l.estimate_with(
-                        &self.mep,
-                        outcome.expect("outcome prepared"),
-                        &mut scratch.lb,
-                    ),
-                    KindEval::GenericU(us) => {
-                        us.estimate(&self.mep, outcome.expect("outcome prepared"))
-                    }
-                    KindEval::Ht(ht) => ht.estimate(&self.mep, outcome.expect("outcome prepared")),
-                    KindEval::J(j) => j.estimate(&self.mep, outcome.expect("outcome prepared")),
-                };
-            }
-        }
-        if let Some(outcome) = outcome {
-            scratch.entries = outcome.into_parts().1;
-        }
-        Ok(true)
+        let sampled = self.evaluate_many(&[key], weights, weights.len(), &[u], scratch, out)?;
+        Ok(sampled > 0)
     }
 
-    /// Batch fast path: when every requested estimator resolved to a
-    /// registered closed form, each form sweeps the whole staged chunk
-    /// through its own chunk-wide `eval_chunk` — the threshold tests run
-    /// fused inside the sweep over the row-major weight staging, and
-    /// virtual dispatch plus the estimator `match` leave the inner loop
-    /// entirely. Any generic slot needs a materialized [`Outcome`] per
-    /// item, so the kernel falls back to the per-item default in that
-    /// case.
+    /// When every slot is a registered closed form, each form sweeps the
+    /// whole staged chunk: the threshold tests run fused inside the sweep
+    /// over the row-major weight staging, and virtual dispatch plus the
+    /// estimator `match` leave the inner loop. A generic slot needs a
+    /// materialized [`Outcome`] per item, so a kernel with one runs a
+    /// single per-item pass instead.
     fn evaluate_many(
         &self,
-        keys: &[u64],
+        _keys: &[u64],
         weights: &[f64],
         arity: usize,
         seeds: &[f64],
         scratch: &mut KernelScratch,
         out: &mut [f64],
     ) -> Result<usize> {
-        if self.needs_outcome {
-            // Generic estimators materialize per-item outcomes: the trait
-            // default's per-item loop.
-            return evaluate_each(self, keys, weights, arity, seeds, scratch, out);
-        }
         debug_assert_eq!(arity, self.scales.len());
+        let mut sampled = 0;
+        if !self.all_closed {
+            for (row, &u) in weights.chunks_exact(arity).zip(seeds) {
+                sampled += usize::from(self.evaluate_row(row, u, scratch, out)?);
+            }
+            return Ok(sampled);
+        }
         // Every form's sweep observes the same sampled-evidence count
         // (any instance's weight cleared its threshold at the item's
-        // seed), so the first sweep's count is the chunk's count — no
-        // separate counting pass.
-        let mut sampled = None;
+        // seed), so any sweep's count is the chunk's count.
         for (slot, eval) in self.evals.iter().enumerate() {
-            match eval {
-                KindEval::Closed(form) => {
-                    let n = form.eval_chunk(weights, &self.scales, arity, seeds, &mut out[slot]);
-                    debug_assert!(sampled.is_none_or(|s| s == n));
-                    sampled.get_or_insert(n);
-                }
-                // Unreachable: needs_outcome is false only when every
-                // slot is closed-form.
-                _ => unreachable!("generic slot on the closed-form batch path"),
-            }
+            let KindEval::Closed(form) = eval else {
+                unreachable!("generic slot on the closed-form chunk path")
+            };
+            let n = form.sweep(weights, &self.scales, seeds, &mut out[slot]);
+            debug_assert!(slot == 0 || n == sampled);
+            sampled = n;
         }
-        let sampled = sampled.unwrap_or_else(|| {
-            // A kernel with zero estimator slots still counts sampled
-            // items, exactly as the per-item path's threshold loop does.
-            weights
-                .chunks_exact(arity)
-                .zip(seeds)
-                .filter(|(row, &u)| {
-                    row.iter()
-                        .zip(&self.scales)
-                        .any(|(&w, &s)| w > 0.0 && w >= u * s)
-                })
-                .count()
-        });
         Ok(sampled)
     }
 }
@@ -793,65 +605,85 @@ impl<F: ItemFn + Sync> EstimationKernel for FuncKernel<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineQuery;
+    use monotone_core::func::{DistinctOr, RangePowPlus};
+
+    /// One closed-form sweep over one row: `(sampled, estimate)`.
+    fn sweep_row(form: &ClosedForm, scales: &[f64], row: &[f64], u: f64) -> (usize, f64) {
+        let mut acc = 0.0;
+        let sampled = form.sweep(row, scales, &[u], &mut acc);
+        (sampled, acc)
+    }
 
     #[test]
     fn rg_plus_registers_closed_forms_under_common_scale() {
-        let forms = RangePowPlus::new(1.0).closed_forms(&[2.0, 2.0]);
-        assert!(matches!(forms.lstar, Some(ClosedForm::RgPlusL(_))));
-        assert!(matches!(forms.ustar, Some(ClosedForm::RgPlusU(_))));
+        let forms = EngineQuery::rg_plus(1.0, 2.0).registered_closed_forms();
+        assert!(matches!(forms[0], Some(ClosedForm::RgPlusL(_))));
+        assert!(matches!(forms[1], Some(ClosedForm::RgPlusU(_))));
         // No L* closed form away from p in {1, 2}; U* covers every p.
-        let forms = RangePowPlus::new(1.5).closed_forms(&[1.0, 1.0]);
-        assert!(forms.lstar.is_none());
-        assert!(forms.ustar.is_some());
+        let forms = EngineQuery::rg_plus(1.5, 1.0).registered_closed_forms();
+        assert!(forms[0].is_none());
+        assert!(forms[1].is_some());
         // Per-instance scales: the Example 4 derivations do not apply.
-        let forms = RangePowPlus::new(1.0).closed_forms(&[1.0, 2.0]);
-        assert_eq!(forms, ClosedForms::none());
+        let query = EngineQuery::rg_plus(1.0, 1.0).with_instance_scales(&[1.0, 2.0]);
+        assert_eq!(query.registered_closed_forms(), [None, None]);
         // The lossless-sketch scale: `v / scale` would overflow.
         for p in [1.0, 2.0] {
-            let tiny = [f64::MIN_POSITIVE; 2];
-            assert_eq!(
-                RangePowPlus::new(p).closed_forms(&tiny),
-                ClosedForms::none()
-            );
+            let query = EngineQuery::rg_plus(p, f64::MIN_POSITIVE);
+            assert_eq!(query.registered_closed_forms(), [None, None]);
         }
+        // At p = 2 the factor `scale^p` underflows to 0 while `(v/scale)^p`
+        // overflows: the forms would answer 0 · ∞ = NaN.
+        for scale in [1e-200, 1e-300, 1e-307] {
+            let query = EngineQuery::rg_plus(2.0, scale);
+            assert_eq!(query.registered_closed_forms(), [None, None]);
+        }
+        // Linear forms register nothing.
+        let query = EngineQuery::linear_abs(1.0, -1.0, 0.0, 1.0, 1.0);
+        assert_eq!(query.registered_closed_forms(), [None, None]);
     }
 
     #[test]
     fn distinct_closed_form_is_inverse_inclusion_probability() {
-        let forms = DistinctOr::new(2).closed_forms(&[1.0, 2.0]);
-        let lstar = forms.lstar.expect("registered");
-        assert!(forms.ustar.is_none());
-        // Known entries 0.4 (prob 0.4) and 0.7 (prob 0.35): q = 0.4.
-        let e = lstar.eval(&[Some(0.4), Some(0.7)], 0.1);
+        let query = EngineQuery::distinct(1.0).with_instance_scales(&[1.0, 2.0]);
+        let [lstar, ustar] = query.registered_closed_forms();
+        let lstar = lstar.expect("registered");
+        assert!(ustar.is_none());
+        let scales = [1.0, 2.0];
+        // Sampled entries 0.4 (prob 0.4) and 0.7 (prob 0.35): q = 0.4.
+        let (n, e) = sweep_row(&lstar, &scales, &[0.4, 0.7], 0.1);
+        assert_eq!(n, 1);
         assert!((e - 1.0 / 0.4).abs() < 1e-15, "got {e}");
-        // Single known entry above its scale: prob 1, estimate 1.
-        assert_eq!(lstar.eval(&[None, Some(2.5)], 0.9), 1.0);
-        assert_eq!(lstar.eval(&[None, None], 0.5), 0.0);
+        // Single sampled entry above its scale: prob 1, estimate 1.
+        assert_eq!(sweep_row(&lstar, &scales, &[0.0, 2.5], 0.9), (1, 1.0));
+        // Nothing sampled: skipped, not added as an explicit zero.
+        assert_eq!(sweep_row(&lstar, &scales, &[0.3, 0.8], 0.5), (0, 0.0));
     }
 
     #[test]
     fn distinct_closed_form_generalizes_to_any_arity() {
-        let forms = DistinctOr::new(4).closed_forms(&[1.0, 2.0, 4.0, 8.0]);
-        let lstar = forms.lstar.expect("registered");
+        let scales = [1.0, 2.0, 4.0, 8.0];
+        let query = EngineQuery::distinct_k(4, 1.0).with_instance_scales(&scales);
+        let lstar = query.registered_closed_forms()[0]
+            .clone()
+            .expect("registered");
         // Probabilities 0.4, 0.35, capped, 0.05: q = 0.4.
-        let e = lstar.eval(&[Some(0.4), Some(0.7), None, Some(0.4)], 0.1);
+        let (n, e) = sweep_row(&lstar, &scales, &[0.4, 0.7, 0.1, 0.4], 0.04);
+        assert_eq!(n, 1);
         assert!((e - 1.0 / 0.4).abs() < 1e-15, "got {e}");
-        assert_eq!(lstar.eval(&[None, None, None, None], 0.5), 0.0);
+        assert_eq!(sweep_row(&lstar, &scales, &[0.0; 4], 0.5), (0, 0.0));
     }
 
     #[test]
     fn distinct_closed_form_matches_generic_lstar() {
-        use monotone_core::estimate::{LStar, MonotoneEstimator};
         let scales = [1.0, 2.0];
-        let f = DistinctOr::new(2);
-        let closed = f.closed_forms(&scales).lstar.unwrap();
-        let mep = Mep::new(f, TupleScheme::pps(&scales).unwrap()).unwrap();
+        let mep = Mep::new(DistinctOr::new(2), TupleScheme::pps(&scales).unwrap()).unwrap();
         let generic = LStar::new();
-        for &v in &[[0.4, 0.7], [0.4, 0.0], [0.0, 1.9], [2.0, 3.0]] {
+        for v in [[0.4, 0.7], [0.4, 0.0], [0.0, 1.9], [2.0, 3.0]] {
             for k in 1..=20 {
                 let u = k as f64 / 20.0;
                 let out = mep.scheme().sample(&v, u).unwrap();
-                let a = closed.eval(&[out.known(0), out.known(1)], u);
+                let (_, a) = sweep_row(&ClosedForm::DistinctL, &scales, &v, u);
                 let b = generic.estimate(&mep, &out);
                 assert!((a - b).abs() < 1e-9, "v={v:?} u={u}: closed {a} vs {b}");
             }
@@ -860,17 +692,14 @@ mod tests {
 
     #[test]
     fn distinct_closed_form_matches_generic_lstar_at_arity_three() {
-        use monotone_core::estimate::{LStar, MonotoneEstimator};
         let scales = [1.0, 2.0, 0.5];
-        let f = DistinctOr::new(3);
-        let closed = f.closed_forms(&scales).lstar.unwrap();
-        let mep = Mep::new(f, TupleScheme::pps(&scales).unwrap()).unwrap();
+        let mep = Mep::new(DistinctOr::new(3), TupleScheme::pps(&scales).unwrap()).unwrap();
         let generic = LStar::new();
-        for &v in &[[0.4, 0.7, 0.0], [0.0, 0.0, 0.3], [2.0, 3.0, 1.0]] {
+        for v in [[0.4, 0.7, 0.0], [0.0, 0.0, 0.3], [2.0, 3.0, 1.0]] {
             for k in 1..=20 {
                 let u = k as f64 / 20.0;
                 let out = mep.scheme().sample(&v, u).unwrap();
-                let a = closed.eval(&[out.known(0), out.known(1), out.known(2)], u);
+                let (_, a) = sweep_row(&ClosedForm::DistinctL, &scales, &v, u);
                 let b = generic.estimate(&mep, &out);
                 assert!((a - b).abs() < 1e-9, "v={v:?} u={u}: closed {a} vs {b}");
             }
@@ -880,21 +709,12 @@ mod tests {
     #[test]
     fn func_kernel_rejects_bad_scales() {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(FuncKernel::auto(
-                RangePowPlus::new(1.0),
-                &[1.0, bad],
-                &[EstimatorKind::LStar],
-                QuadConfig::fast(),
-            )
-            .is_err());
+            assert!(
+                FuncKernel::new(RangePowPlus::new(1.0), &[1.0, bad], &[EstimatorKind::LStar])
+                    .is_err()
+            );
         }
         // Arity mismatch between function and scale vector is typed too.
-        assert!(FuncKernel::auto(
-            DistinctOr::new(3),
-            &[1.0, 1.0],
-            &[EstimatorKind::LStar],
-            QuadConfig::fast(),
-        )
-        .is_err());
+        assert!(FuncKernel::new(DistinctOr::new(3), &[1.0, 1.0], &[EstimatorKind::LStar]).is_err());
     }
 }

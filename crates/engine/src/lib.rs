@@ -25,12 +25,11 @@
 //!   `evaluate` over the item's weights in every instance of the group,
 //!   with reusable scratch. Custom kernels plug straight into
 //!   [`Engine::run_kernel`] and run through the same batch loop;
-//! * **closed-form registration** — function families register their
-//!   closed forms per scheme ([`KernelFunc`]); `RGp+` under a common
-//!   scale dispatches to [`RgPlusLStar`] (`p ∈ {1, 2}`) and
-//!   [`RgPlusUStar`] automatically, the distinct-count OR registers its
-//!   inverse-probability form for **any arity**, and only genuinely
-//!   generic problems pay for quadrature;
+//! * **closed forms** — the query builder registers each family's
+//!   closed forms in one place: `RGp+` under a common scale runs
+//!   [`RgPlusLStar`] (`p ∈ {1, 2}`) and [`RgPlusUStar`], the
+//!   distinct-count OR its inverse-probability form at **any arity**, and
+//!   only genuinely generic problems pay for quadrature;
 //! * **item sources** — every job streams its items through the same
 //!   stream protocol: a cursor yielding keys with one weight per instance
 //!   of the group, abstracted as [`ItemSource`]. [`WeightMerger`] is the
@@ -52,9 +51,9 @@
 //!   [`evaluate_many`](EstimationKernel::evaluate_many). Kernel dispatch
 //!   is per **chunk**, not per item: when every estimator slot resolved
 //!   to a registered closed form, the threshold tests and estimates run
-//!   as monomorphic structure-of-arrays sweeps over the staged chunk,
-//!   and the per-item virtual `evaluate` survives only as the fallback
-//!   for kernels that need materialized outcomes;
+//!   as one monomorphic sweep per form over the staged chunk, and a
+//!   kernel with a generic slot, which needs a materialized outcome per
+//!   item, makes one pass over the chunk's items instead;
 //! * **deterministic parallelism** — jobs are split into contiguous chunks
 //!   over a [`std::thread::scope`] worker pool; results land in
 //!   preassigned slots, so the output is identical for every thread count.
@@ -98,17 +97,16 @@ pub mod kernel;
 mod pool;
 pub mod workload;
 
-pub use kernel::{
-    ClosedForm, ClosedForms, EstimationKernel, FuncKernel, KernelFunc, KernelScratch,
-};
+pub use kernel::{EstimationKernel, FuncKernel, KernelScratch};
 pub use pool::chunk_bounds;
 
 pub use monotone_coord::source::{DomainSource, ItemSource, SketchUnion};
 
+use kernel::ClosedForm;
 use monotone_coord::instance::{merged_weights, Instance};
 use monotone_coord::seed::SeedHasher;
-use monotone_core::func::{DistinctOr, LinearAbsPow, RangePowPlus};
-use monotone_core::quad::QuadConfig;
+use monotone_core::estimate::{RgPlusLStar, RgPlusUStar};
+use monotone_core::func::{DistinctOr, ItemFn, LinearAbsPow, RangePowPlus};
 use monotone_core::Result;
 
 /// Which estimator to run for each item of a job.
@@ -175,13 +173,13 @@ impl FuncSpec {
 /// [`without_closed_forms`](EngineQuery::without_closed_forms) forces the
 /// generic paths (agreement checks, baseline measurements). Other
 /// families, `min`/`max` sums among them, compile through
-/// [`FuncKernel::auto`] and run with [`Engine::run_kernel`].
+/// [`FuncKernel::new`] on the generic paths and run with
+/// [`Engine::run_kernel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineQuery {
     func: FuncSpec,
     scales: Vec<f64>,
     estimators: Vec<EstimatorKind>,
-    quad: QuadConfig,
     closed_forms: bool,
 }
 
@@ -192,7 +190,6 @@ impl EngineQuery {
             func,
             scales,
             estimators: vec![EstimatorKind::LStar],
-            quad: QuadConfig::fast(),
             closed_forms: true,
         }
     }
@@ -246,7 +243,7 @@ impl EngineQuery {
     /// the job group; constructors start from a common scale). The length
     /// must match the query's arity — a mismatch surfaces as a typed error
     /// at kernel-build time. Closed forms that require a common scale
-    /// deregister themselves automatically.
+    /// are not registered under unequal scales.
     pub fn with_instance_scales(mut self, scales: &[f64]) -> EngineQuery {
         self.scales = scales.to_vec();
         self
@@ -264,12 +261,6 @@ impl EngineQuery {
             }
         }
         self.estimators = deduped;
-        self
-    }
-
-    /// Replaces the quadrature configuration used by generic fallbacks.
-    pub fn with_quad(mut self, quad: QuadConfig) -> EngineQuery {
-        self.quad = quad;
         self
     }
 
@@ -300,22 +291,17 @@ impl EngineQuery {
     /// Returns an error if a scale is invalid (zero, negative, infinite,
     /// or NaN) or the scale vector's length differs from the query arity.
     pub fn kernel(&self) -> Result<Box<dyn EstimationKernel>> {
-        fn build<F: kernel::KernelFunc + Sync + 'static>(
+        fn build<F: ItemFn + Sync + 'static>(
             f: F,
             q: &EngineQuery,
         ) -> Result<Box<dyn EstimationKernel>> {
             let closed = if q.closed_forms {
-                f.closed_forms(&q.scales)
+                q.registered_closed_forms()
             } else {
-                ClosedForms::none()
+                [None, None]
             };
-            Ok(Box::new(FuncKernel::new(
-                f,
-                &q.scales,
-                &q.estimators,
-                q.quad,
-                closed,
-            )?))
+            let kernel = FuncKernel::with_closed_forms(f, &q.scales, &q.estimators, closed)?;
+            Ok(Box::new(kernel))
         }
         match &self.func {
             FuncSpec::RgPlus { p } => build(RangePowPlus::new(*p), self),
@@ -323,6 +309,46 @@ impl EngineQuery {
             FuncSpec::LinearAbs { a, b, offset, p } => {
                 build(LinearAbsPow::new(vec![*a, *b], *offset, *p), self)
             }
+        }
+    }
+
+    /// The closed forms the query's family registers under its scales,
+    /// `[L*, U*]` — the one place closed forms are chosen; every other
+    /// slot runs its generic estimator.
+    ///
+    /// * `RGp+` registers L\* for `p ∈ {1, 2}` and U\* for any `p`, only
+    ///   for a pair with one common scale, where the Example 4
+    ///   derivations hold.
+    /// * The distinct count registers its inverse-probability L\* at any
+    ///   arity and under any scales.
+    /// * Linear forms register nothing.
+    fn registered_closed_forms(&self) -> [Option<ClosedForm>; 2] {
+        match self.func {
+            // Degenerate scales register nothing — kernel construction
+            // reports them as typed errors rather than closed-form
+            // constructor panics. Neither do scales the forms' arithmetic
+            // cannot take: they compute in units of `v / scale`, which
+            // overflows at or below `f64::MIN_POSITIVE` (the scale a
+            // lossless sketch reports), and multiply back by `scale^p`,
+            // which underflows to 0 below about 1.5e-154 at p = 2 (an
+            // answer of 0 · ∞). The generic estimators stay exact there.
+            FuncSpec::RgPlus { p } => match self.scales[..] {
+                [s, t]
+                    if s == t
+                        && s.is_finite()
+                        && s > f64::MIN_POSITIVE
+                        && s.powf(p) >= f64::MIN_POSITIVE =>
+                {
+                    [
+                        (p == 1.0 || p == 2.0)
+                            .then(|| ClosedForm::RgPlusL(RgPlusLStar::new(p as u8, s))),
+                        Some(ClosedForm::RgPlusU(RgPlusUStar::new(p, s))),
+                    ]
+                }
+                _ => [None, None],
+            },
+            FuncSpec::Distinct { .. } => [Some(ClosedForm::DistinctL), None],
+            FuncSpec::LinearAbs { .. } => [None, None],
         }
     }
 }

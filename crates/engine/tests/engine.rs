@@ -67,9 +67,7 @@ fn matches_per_call_path_generic_fallback() {
     let jobs: Vec<PairJob> = (0..3)
         .map(|salt| PairJob::new(&a, &b, 100 + salt))
         .collect();
-    let query = EngineQuery::rg_plus(1.5, 1.0)
-        .with_estimators(&[EstimatorKind::LStar])
-        .with_quad(quad);
+    let query = EngineQuery::rg_plus(1.5, 1.0).with_estimators(&[EstimatorKind::LStar]);
     let batch = Engine::with_threads(3).run(&jobs, &query).unwrap();
     for (i, pair) in batch.pairs.iter().enumerate() {
         let sampler = CoordPps::uniform_scale(2, 1.0, SeedHasher::new(100 + i as u64));
@@ -286,7 +284,7 @@ fn three_way_distinct_matches_per_call_path() {
     let jobs: Vec<_> = (0..6)
         .map(|salt| SourceJob::new(WeightMerger::new(data.instances()), salt))
         .collect();
-    let query = EngineQuery::distinct_k(3, scale).with_quad(quad);
+    let query = EngineQuery::distinct_k(3, scale);
     let closed = Engine::with_threads(2).run(&jobs, &query).unwrap();
     let generic = Engine::with_threads(2)
         .run(&jobs, &query.clone().without_closed_forms())
@@ -393,11 +391,56 @@ fn rejects_invalid_scale() {
     let (a, b) = instance_pair(10);
     let jobs = [PairJob::new(&a, &b, 0)];
     for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        // RGp+ registers no closed form at a bad scale; the distinct count
+        // registers its form under any scales, and linear forms none: each
+        // must still be refused when the kernel is built.
+        for query in [
+            EngineQuery::rg_plus(1.0, bad),
+            EngineQuery::distinct(bad),
+            EngineQuery::distinct_k(3, 1.0).with_instance_scales(&[1.0, bad, 1.0]),
+            EngineQuery::linear_abs(1.0, -1.0, 0.0, 1.0, bad),
+        ] {
+            let err = query.kernel().err();
+            assert!(
+                matches!(err, Some(monotone_core::Error::InvalidScale(s)) if s.to_bits() == bad.to_bits()),
+                "scale {bad} must be rejected as InvalidScale, got {err:?}"
+            );
+        }
         let query = EngineQuery::rg_plus(1.0, bad);
         assert!(
             Engine::new().run(&jobs, &query).is_err(),
             "scale {bad} must be rejected"
         );
+    }
+}
+
+#[test]
+fn rg_plus_closed_forms_step_aside_where_the_scale_factor_underflows() {
+    // Regression: at p = 2 the closed forms multiply by `scale^2`, which
+    // underflows to 0 below about 1.5e-154 while `(v/scale)^2` overflows,
+    // and they answered 0 · ∞ = NaN. Such scales register no closed form,
+    // so the query equals its generic route and stays exact.
+    let a = Instance::from_pairs((0..40u64).map(|k| (k, 0.2 + (k % 7) as f64 / 10.0)));
+    let b = Instance::from_pairs((0..40u64).map(|k| (k, 0.3 + (k % 5) as f64 / 10.0)));
+    let jobs: Vec<PairJob> = (0..4).map(|salt| PairJob::new(&a, &b, salt)).collect();
+    let engine = Engine::with_threads(2);
+    for scale in [1e-200, 1e-300, 1e-307] {
+        let query = EngineQuery::rg_plus(2.0, scale)
+            .with_estimators(&[EstimatorKind::LStar, EstimatorKind::UStar]);
+        let batch = engine.run(&jobs, &query).unwrap();
+        let generic = engine.run(&jobs, &query.without_closed_forms()).unwrap();
+        assert_eq!(batch, generic, "scale {scale:e}");
+        for pair in &batch.pairs {
+            assert!((pair.truth - 1.05).abs() < 1e-12, "truth {}", pair.truth);
+            for &e in &pair.estimates {
+                assert!(e.is_finite(), "scale {scale:e}: estimate {e}");
+                assert!(
+                    (e - pair.truth).abs() < 1e-9,
+                    "scale {scale:e}: {e} vs {}",
+                    pair.truth
+                );
+            }
+        }
     }
 }
 

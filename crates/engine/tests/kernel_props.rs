@@ -135,7 +135,9 @@ proptest! {
     /// `evaluate` loop **bit for bit** — same estimate bits, same sampled
     /// count — across closed-form (chunk fast path), generic-fallback,
     /// mixed, and arity-3 distinct kernels, on both hashed and fixed
-    /// probe seeds, at chunk-boundary lengths 1, 63, 64, 65, 4096.
+    /// probe seeds, at chunk-boundary lengths 1, 63, 64, 65, 4096. The
+    /// closed L* column must also read the same bits on the chunk path
+    /// and on the mixed kernel's per-item pass.
     #[test]
     fn evaluate_many_is_bit_identical_to_per_item_evaluate(
         salt in any::<u64>(),
@@ -143,44 +145,35 @@ proptest! {
         p in 1u8..=2,
         probe in 0u32..=20, // 0 = hashed seeds, 1..=20 = fixed probe seed p/20
     ) {
-        use monotone_core::func::{DistinctOr, RangePowPlus};
-        use monotone_core::quad::QuadConfig;
-        use monotone_engine::{ClosedForms, EstimationKernel, FuncKernel, KernelScratch};
+        use monotone_core::func::RangePowPlus;
+        use monotone_engine::{EstimationKernel, FuncKernel, KernelScratch};
 
         let scale = scale_idx as f64 / 2.0;
         let kinds_lu = [EstimatorKind::LStar, EstimatorKind::UStar];
-        let closed =
-            FuncKernel::auto(RangePowPlus::new(p as f64), &[scale, scale], &kinds_lu, QuadConfig::fast())
-                .unwrap();
-        let generic = FuncKernel::new(
-            RangePowPlus::new(p as f64),
-            &[scale, scale],
-            &kinds_lu,
-            QuadConfig::fast(),
-            ClosedForms::none(),
-        )
-        .unwrap();
-        let mixed = FuncKernel::auto(
-            RangePowPlus::new(p as f64),
-            &[scale, scale],
-            &[EstimatorKind::LStar, EstimatorKind::HorvitzThompson],
-            QuadConfig::fast(),
-        )
-        .unwrap();
-        let distinct3 =
-            FuncKernel::auto(DistinctOr::new(3), &[scale, 1.0, 2.0], &[EstimatorKind::LStar], QuadConfig::fast())
-                .unwrap();
+        let rg = EngineQuery::rg_plus(p as f64, scale);
+        let closed = rg.clone().with_estimators(&kinds_lu).kernel().unwrap();
+        let generic = FuncKernel::new(RangePowPlus::new(p as f64), &[scale, scale], &kinds_lu).unwrap();
+        let mixed = rg
+            .with_estimators(&[EstimatorKind::LStar, EstimatorKind::HorvitzThompson])
+            .kernel()
+            .unwrap();
+        let distinct3 = EngineQuery::distinct_k(3, 1.0)
+            .with_instance_scales(&[scale, 1.0, 2.0])
+            .kernel()
+            .unwrap();
         // Quadrature-backed kernels get the boundary lengths only; the
         // closed-form chunk path also gets a multi-chunk 4096 sweep.
         let kernels: [(&dyn EstimationKernel, usize, &[usize]); 4] = [
-            (&closed, 2, &[1, 63, 64, 65, 4096]),
+            (closed.as_ref(), 2, &[1, 63, 64, 65, 4096]),
             (&generic, 2, &[1, 63, 64, 65]),
-            (&mixed, 2, &[1, 63, 64, 65]),
-            (&distinct3, 3, &[1, 63, 64, 65, 4096]),
+            (mixed.as_ref(), 2, &[1, 63, 64, 65]),
+            (distinct3.as_ref(), 3, &[1, 63, 64, 65, 4096]),
         ];
         let wgen = SeedHasher::new(salt ^ 0xabcd_ef01_2345_6789);
         let seeder = SeedHasher::new(salt);
-        for (kernel, arity, lengths) in kernels {
+        // (kernel index, n) -> the batch's L* column, for the route check.
+        let mut lstar_bits = std::collections::HashMap::new();
+        for (index, (kernel, arity, lengths)) in kernels.into_iter().enumerate() {
             let width = kernel.labels().len();
             for &n in lengths {
                 let keys: Vec<u64> = (0..n as u64).collect();
@@ -213,6 +206,7 @@ proptest! {
                     }
                 }
                 prop_assert_eq!(sampled_many, sampled_item, "sampled count at n={}", n);
+                lstar_bits.insert((index, n), out_many[0].to_bits());
                 for (slot, (a, b)) in out_many.iter().zip(&out_item).enumerate() {
                     prop_assert_eq!(
                         a.to_bits(),
@@ -222,6 +216,14 @@ proptest! {
                     );
                 }
             }
+        }
+        for n in [1, 63, 64, 65] {
+            prop_assert_eq!(
+                lstar_bits[&(0, n)],
+                lstar_bits[&(2, n)],
+                "closed L* diverged between the chunk path and the per-item pass at n={}",
+                n
+            );
         }
     }
 }
