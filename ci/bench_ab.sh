@@ -15,9 +15,12 @@
 # 1 to 5, BASE first in odd pairs and the change first in even ones.
 #
 # For every end-to-end metric the script prints both sides' medians and
-# quartiles, how much worse the change's median is (a fraction of
-# BASE's median, in the metric's bad direction), and the bound. It
-# exits 1 when
+# quartiles, how many pairs the change won (`pairs better n/N`: the
+# seeds whose change run beats the BASE run in the metric's better
+# direction; a tie counts for neither), how much worse the change's
+# median is (a fraction of BASE's median, in the metric's bad
+# direction), and the bound. The pair count is informational: it decides
+# nothing below. It exits 1 when
 #   - a run reports "failed" above 0, or
 #   - a metric's change median is worse than BASE's by more than its
 #     bound.
@@ -128,7 +131,17 @@ compare() {
     function num(x) { return x >= 1e6 ? sprintf("%.4gM", x / 1e6) : x >= 1e4 ? sprintf("%.4gk", x / 1e3) : sprintf("%.4g", x) }
     function summary(v, n) { return num(q(v, n, 0.5)) " [" num(q(v, n, 0.25)) ", " num(q(v, n, 0.75)) "]" }
     function rel(x, ref) { return ref == 0 ? (x == 0 ? 0 : 1e300) : x / ref }
+    # Seeds where the change run beats the BASE run of the same seed:
+    # both sides list their runs in seed order.
+    function pairs_better(   pb, pc, n, i, won) {
+      n = split(base, pb, " ")
+      split(change, pc, " ")
+      for (i = 1; i <= n; i++)
+        won += better == "lower" ? pc[i] + 0 < pb[i] + 0 : pc[i] + 0 > pb[i] + 0
+      return won + 0 "/" n
+    }
     BEGIN {
+      won = pairs_better()
       nb = sorted(base, b)
       nc = sorted(change, c)
       bmed = q(b, nb, 0.5); cmed = q(c, nc, 0.5)
@@ -147,15 +160,15 @@ compare() {
       } else {
         verdict = worse > bound ? "FAIL" : "ok"
       }
-      printf "%-9s %-17s %-27s %-27s %+8.1f%% %5g%%  %s\n", workload, metric,
-        summary(b, nb), summary(c, nc), 100 * worse, 100 * bound, verdict
+      printf "%-9s %-17s %-27s %-27s %-12s %+8.1f%% %5g%%  %s\n", workload, metric,
+        summary(b, nb), summary(c, nc), won, 100 * worse, 100 * bound, verdict
       exit verdict ~ /^FAIL/
     }'
 }
 
 echo
-printf '%-9s %-17s %-27s %-27s %9s %6s  %s\n' \
-  workload metric "base median [q1, q3]" "change median [q1, q3]" "worse by" bound verdict
+printf '%-9s %-17s %-27s %-27s %-12s %9s %6s  %s\n' \
+  workload metric "base median [q1, q3]" "change median [q1, q3]" "pairs better" "worse by" bound verdict
 for workload in "${workloads[@]}"; do
   for spec in "${metrics[@]}"; do
     read -r metric better bound <<<"$spec"

@@ -10,6 +10,13 @@
 //! the others are fixed. Under priority ranks that test,
 //! `u/w < τ ⟺ w > u · (1/τ)`, is a coordinated-PPS threshold with scale
 //! `1/τ` — the per-item threshold scheme the estimators consume.
+//!
+//! A rank is a pure function of the shared seed hash, the key and the
+//! weight, so neither a resident [`BottomKStream`] nor a
+//! [`BottomKSample`] stores one per entry: both keep `(key, weight)`
+//! pairs in rank order plus the two threshold ranks r₍ₖ₎ and r₍ₖ₊₁₎,
+//! and re-derive an entry's rank, `seed(key) / w`, bit for bit whenever
+//! one is needed.
 
 use monotone_core::scheme::{EntryState, LinearThreshold, Outcome, TupleScheme};
 
@@ -26,6 +33,15 @@ const WIRE_VERSION: u8 = 1;
 /// the store's protocol version.
 const PRIORITY_TAG: u8 = 0;
 
+/// Keys [`BottomK::ingest`] hashes per [`SeedHasher::seed_many`] call,
+/// through stack buffers.
+const CHUNK: usize = 64;
+
+/// Largest `k + 1` whose re-derived resident `(rank, key, weight)`
+/// triples fit a stack buffer; a larger `k` re-derives them into one
+/// heap buffer per accepting batch.
+const STACK_RANKS: usize = 64;
+
 /// The PPS scale of a conditioned rank threshold `τ`: an item of weight
 /// `w` is included iff `u/w < τ` ⟺ `w > u · (1/τ)`. An infinite `τ` (fewer
 /// than `k` others) maps to [`f64::MIN_POSITIVE`], "always included"; a
@@ -38,15 +54,60 @@ fn pps_scale(tau: f64) -> f64 {
     }
 }
 
+/// The rank `u/w` of an observation of weight `w` at seed `u`, or `None`
+/// when the sampler never retains it: an inactive weight (`w <= 0`,
+/// non-finite) or an infinite rank. A positive weight at or below
+/// `1.0 / f64::MAX` (2⁻¹⁰²⁴, about 5.6·10⁻³⁰⁹, subnormal) can overflow
+/// `u/w` to `+∞` at its key's seed, and is then dropped like a zero.
+fn rank_of(u: f64, w: f64) -> Option<f64> {
+    let rank = u / w;
+    (w > 0.0 && w.is_finite() && rank.is_finite()).then_some(rank)
+}
+
+/// The `(rank, key)` order of `(rank, key, weight)` triples: rank ties
+/// break by key, exactly like the stable sort over key-ascending input
+/// the batch sampler used to run.
+fn by_rank_key(a: &(f64, u64, f64), b: &(f64, u64, f64)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Copies the keys of `items` (at most [`CHUNK`]) into `keys` and hashes
+/// them into `seeds`, returning the filled prefix of `seeds`.
+fn seed_chunk<'a>(
+    seeder: &SeedHasher,
+    items: &[(u64, f64)],
+    keys: &mut [u64; CHUNK],
+    seeds: &'a mut [f64; CHUNK],
+) -> &'a [f64] {
+    let n = items.len();
+    for (slot, &(key, _)) in keys.iter_mut().zip(items) {
+        *slot = key;
+    }
+    seeder.seed_many(&keys[..n], &mut seeds[..n]);
+    &seeds[..n]
+}
+
 /// A bottom-k sample of one instance: the `k` lowest-rank items plus the
-/// rank threshold needed for conditioned estimation.
+/// rank thresholds needed for conditioned estimation.
+///
+/// The sample holds `k`, the shared seed hash, the retained `(key,
+/// weight)` entries ascending by `(rank, key)`, the k-th smallest rank
+/// r₍ₖ₎ and the (k+1)-th r₍ₖ₊₁₎ — no rank per entry: an entry's rank is
+/// `seeder.seed(key) / weight`, re-derived bit for bit by
+/// [`encode_into`](BottomKSample::encode_into), the only reader that
+/// needs one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BottomKSample {
     k: usize,
-    /// `(rank, key, weight)` of retained items, ascending by rank.
-    entries: Vec<(f64, u64, f64)>,
-    /// The (k+1)-th smallest rank overall, when more than `k` items exist.
-    next_rank: Option<f64>,
+    seeder: SeedHasher,
+    /// `(key, weight)` of retained items, ascending by `(rank, key)`.
+    entries: Vec<(u64, f64)>,
+    /// r₍ₖ₎, the last retained entry's rank once `k` are retained; `+∞`
+    /// while fewer are.
+    kth_rank: f64,
+    /// r₍ₖ₊₁₎, the (k+1)-th smallest rank overall; `+∞` when at most `k`
+    /// items had a finite rank.
+    next_rank: f64,
 }
 
 impl BottomKSample {
@@ -59,8 +120,8 @@ impl BottomKSample {
     pub fn get(&self, key: u64) -> Option<f64> {
         self.entries
             .iter()
-            .find(|&&(_, k, _)| k == key)
-            .map(|&(_, _, w)| w)
+            .find(|&&(k, _)| k == key)
+            .map(|&(_, w)| w)
     }
 
     /// Whether `key` is in the sample.
@@ -84,7 +145,7 @@ impl BottomKSample {
 
     /// Iterates `(key, weight)` of retained items by ascending rank.
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.entries.iter().map(|&(_, k, w)| (k, w))
+        self.entries.iter().copied()
     }
 
     /// The conditioned rank threshold for `key`: the k-th smallest rank
@@ -93,16 +154,11 @@ impl BottomKSample {
     pub fn conditioned_rank_threshold(&self, key: u64) -> f64 {
         if self.contains(key) {
             // Others' k-th smallest = the (k+1)-th overall.
-            self.next_rank.unwrap_or(f64::INFINITY)
-        } else if self.entries.len() < self.k {
-            // Fewer than k items in total: everything is always included.
-            f64::INFINITY
+            self.next_rank
         } else {
-            // k-th smallest overall = largest retained rank.
-            self.entries
-                .last()
-                .map(|&(r, _, _)| r)
-                .unwrap_or(f64::INFINITY)
+            // k-th smallest overall = largest retained rank, or +∞ when
+            // fewer than k items exist and everything is included.
+            self.kth_rank
         }
     }
 
@@ -115,131 +171,151 @@ impl BottomKSample {
     /// maps to [`f64::MIN_POSITIVE`] ("always included"), matching
     /// [`BottomK::priority_item_problem`].
     pub fn priority_conditioned_scale(&self) -> f64 {
-        pps_scale(self.next_rank.unwrap_or(f64::INFINITY))
+        pps_scale(self.next_rank)
     }
 
     /// The retained `(key, weight)` entries sorted by **key** (the
     /// [`iter`](BottomKSample::iter) order is by rank) — the layout
     /// sketch-union merge cursors consume.
     pub fn entries_by_key(&self) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self.entries.iter().map(|&(_, k, w)| (k, w)).collect();
+        let mut out = self.entries.clone();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
 
     /// Appends this sample's stable, versioned wire form to `out` — the
-    /// snapshot format a remote shard ships to the store router. Floats
-    /// travel as raw IEEE-754 bits, so [`decode`](BottomKSample::decode)
-    /// reproduces the sample **bit for bit** (ranks, thresholds, and
-    /// weights included), which is what keeps a process-sharded store's
-    /// estimates byte-identical to an in-process one.
+    /// snapshot format a remote shard ships to the store router. Each
+    /// entry travels as `(rank, key, weight)`, its rank re-derived from
+    /// the seed hash, and floats travel as raw IEEE-754 bits, so
+    /// [`decode`](BottomKSample::decode) reproduces the sample **bit for
+    /// bit** (thresholds and weights included), which is what keeps a
+    /// process-sharded store's estimates byte-identical to an
+    /// in-process one.
     pub fn encode_into(&self, out: &mut Enc) {
         out.put_u8(WIRE_VERSION);
         out.put_u8(PRIORITY_TAG);
         out.put_len(self.k);
-        match self.next_rank {
-            Some(r) => {
-                out.put_u8(1);
-                out.put_f64(r);
-            }
-            None => out.put_u8(0),
+        if self.next_rank.is_finite() {
+            out.put_u8(1);
+            out.put_f64(self.next_rank);
+        } else {
+            out.put_u8(0);
         }
         out.put_len(self.entries.len());
-        for &(rank, key, weight) in &self.entries {
-            out.put_f64(rank);
+        for &(key, weight) in &self.entries {
+            out.put_f64(self.seeder.seed(key) / weight);
             out.put_u64(key);
             out.put_f64(weight);
         }
     }
 
-    /// Decodes one sample from `dec`, validating the version byte, the
-    /// rank-method byte (priority ranks, tag 0, are the only method), and
-    /// the `(rank, key)`-ascending entry order the sampler guarantees —
-    /// corruption surfaces as a typed error, never as a structurally
-    /// invalid sample.
+    /// Decodes one sample from `dec` under the seed-hash salt `salt` the
+    /// encoder sampled with. It validates the version byte, the
+    /// rank-method byte (priority ranks, tag 0, are the only method),
+    /// every entry's rank against `seed(key) / weight` at that salt
+    /// (which also refuses an entry the sampler never retains: an
+    /// inactive weight or an infinite rank), the `(rank, key)`-ascending
+    /// entry order the sampler guarantees, and a next rank that is finite
+    /// and not below the last retained rank — corruption surfaces as a
+    /// typed error, never as a sample whose ranks disagree with its
+    /// weights.
     ///
     /// # Errors
     ///
     /// [`monotone_core::Error::Encoding`] on truncation, an unknown
-    /// version or rank-method tag, or out-of-order entries.
-    pub fn decode(dec: &mut Dec<'_>) -> monotone_core::Result<BottomKSample> {
+    /// version or rank-method tag, a rank that is not its entry's,
+    /// out-of-order entries, or an out-of-place next rank.
+    pub fn decode(dec: &mut Dec<'_>, salt: u64) -> monotone_core::Result<BottomKSample> {
+        let bad = |what: String| Err(monotone_core::Error::Encoding(what));
+        let seeder = SeedHasher::new(salt);
         let version = dec.take_u8()?;
         if version != WIRE_VERSION {
-            return Err(monotone_core::Error::Encoding(format!(
-                "unknown BottomKSample wire version {version}"
-            )));
+            return bad(format!("unknown BottomKSample wire version {version}"));
         }
         let tag = dec.take_u8()?;
         if tag != PRIORITY_TAG {
-            return Err(monotone_core::Error::Encoding(format!(
-                "unknown rank-method tag {tag}"
-            )));
+            return bad(format!("unknown rank-method tag {tag}"));
         }
         let k = dec.take_len()?;
         let next_rank = match dec.take_u8()? {
-            0 => None,
-            1 => Some(dec.take_f64()?),
-            t => {
-                return Err(monotone_core::Error::Encoding(format!(
-                    "bad next-rank flag {t}"
-                )))
-            }
+            0 => f64::INFINITY,
+            1 => match dec.take_f64()? {
+                rank if rank.is_finite() => rank,
+                rank => return bad(format!("non-finite next rank {rank}")),
+            },
+            t => return bad(format!("bad next-rank flag {t}")),
         };
         let n = dec.take_len()?;
         if n > k {
-            return Err(monotone_core::Error::Encoding(format!(
-                "sample claims {n} entries for k = {k}"
-            )));
+            return bad(format!("sample claims {n} entries for k = {k}"));
         }
         // An entry is 24 wire bytes: reserve no more than the payload can
         // still hold, so a corrupt count fails as truncation below.
-        let mut entries = Vec::with_capacity(n.min(dec.remaining() / 24));
+        let mut entries: Vec<(u64, f64)> = Vec::with_capacity(n.min(dec.remaining() / 24));
+        let mut last: Option<(f64, u64, f64)> = None;
         for _ in 0..n {
             let rank = dec.take_f64()?;
             let key = dec.take_u64()?;
             let weight = dec.take_f64()?;
-            let entry = (rank, key, weight);
-            if entries
-                .last()
-                .is_some_and(|last| !by_rank_key(last, &entry).is_lt())
-            {
-                return Err(monotone_core::Error::Encoding(
-                    "sample entries out of (rank, key) order".to_owned(),
-                ));
+            let derived = rank_of(seeder.seed(key), weight);
+            if derived.map(f64::to_bits) != Some(rank.to_bits()) {
+                return bad(format!("entry rank {rank} is not seed({key}) / {weight}"));
             }
-            entries.push(entry);
+            let entry = (rank, key, weight);
+            if last.is_some_and(|last| !by_rank_key(&last, &entry).is_lt()) {
+                return bad("sample entries out of (rank, key) order".to_owned());
+            }
+            last = Some(entry);
+            entries.push((key, weight));
         }
+        let last_rank = last.map_or(0.0, |(rank, _, _)| rank);
+        if next_rank < last_rank {
+            return bad(format!(
+                "next rank {next_rank} below retained rank {last_rank}"
+            ));
+        }
+        let kth_rank = match last {
+            Some((rank, _, _)) if n == k => rank,
+            _ => f64::INFINITY,
+        };
         Ok(BottomKSample {
             k,
+            seeder,
             entries,
+            kth_rank,
             next_rank,
         })
     }
 }
 
-/// The `(rank, key)` order of sample entries: rank ties break by key,
-/// exactly like the stable sort over key-ascending input the batch
-/// sampler used to run.
-fn by_rank_key(a: &(f64, u64, f64), b: &(f64, u64, f64)) -> std::cmp::Ordering {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-}
-
 /// The online insert/evict path of bottom-k sampling: a resident sampler
-/// that consumes one `(key, weight)` observation at a time and maintains
-/// the `k` smallest finite ranks plus the `(k+1)`-th (the conditioned
-/// threshold of every retained item) in one array of at most `k + 1`
-/// entries — `O(k)` memory, no access to the full instance ever.
+/// that consumes `(key, weight)` observations batch by batch and
+/// maintains the `k + 1` smallest finite ranks seen — the `k` retained
+/// entries plus the `(k+1)`-th, the conditioned threshold of every
+/// retained item — in `O(k)` memory, with no access to the full
+/// instance ever.
 ///
-/// The array holds arrival order until it first fills to `k + 1`, is
-/// sorted by `(rank, key)` once, and stays sorted from then on: a warm
-/// rejection is one comparison with the last entry, an accepted insert
-/// shifts the larger entries up one slot over the evicted last one, and
-/// a [`sample`](BottomKStream::sample) is a copy of the first `k`.
+/// **Layout.** A stream holds at most `k + 1` `(key, weight)` entries,
+/// always ascending by `(rank, key)`, plus two ranks: r₍ₖ₎ of the k-th
+/// entry and r₍ₖ₊₁₎ of the (k+1)-th, each `+∞` while the stream holds
+/// fewer entries. Nothing else: `k` and the seed hash live once in the
+/// [`BottomK`] that feeds it, and every other rank is re-derived from
+/// the seed hash when an insert needs it. A resident stream costs
+/// `size_of::<BottomKStream>() + 16 (k + 1)` bytes, 40 + 528 at k = 32.
+///
+/// **Ingest.** [`BottomK::ingest`] ranks a batch in bulk and rejects
+/// each observation at or above r₍ₖ₊₁₎ with one comparison — almost
+/// every observation of a warm stream. Only a batch that accepts one
+/// re-derives the resident ranks and inserts over them. A
+/// [`snapshot`](BottomK::snapshot) copies the first `k` entries and both
+/// ranks.
 ///
 /// [`BottomK::sample_instance`] is this stream fed from an [`Instance`]:
-/// the two paths are bit-identical by construction (regression-tested),
-/// so a sketch built incrementally by a long-running store serves the
-/// same estimates as one sampled from the full weight map.
+/// the two paths are bit-identical by construction, and the retained
+/// entries do not depend on arrival order or on how observations are
+/// split into batches (regression-tested), so a sketch built
+/// incrementally by a long-running store serves the same estimates as
+/// one sampled from the full weight map.
 ///
 /// Observations with non-positive or non-finite weight are inactive and
 /// ignored (the contract of [`Instance::from_pairs`]); keys are assumed
@@ -255,70 +331,27 @@ fn by_rank_key(a: &(f64, u64, f64), b: &(f64, u64, f64)) -> std::cmp::Ordering {
 ///
 /// let inst = Instance::from_pairs((0..100u64).map(|k| (k, 1.0 + (k % 5) as f64)));
 /// let sampler = BottomK::new(10, SeedHasher::new(3));
-/// // Stream the items one at a time — identical to sampling in batch.
+/// // Stream the items in batches of 7 — identical to sampling in batch.
+/// let items: Vec<(u64, f64)> = inst.iter().collect();
 /// let mut stream = sampler.stream();
-/// for (key, w) in inst.iter() {
-///     stream.insert(key, w);
+/// for batch in items.chunks(7) {
+///     sampler.ingest(&mut stream, batch);
 /// }
-/// assert_eq!(stream.into_sample(), sampler.sample_instance(&inst));
+/// assert_eq!(sampler.snapshot(&stream), sampler.sample_instance(&inst));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BottomKStream {
-    k: usize,
-    seeder: SeedHasher,
-    /// The `k + 1` smallest finite `(rank, key, weight)` entries seen:
-    /// in arrival order while there are at most `k`, in `(rank, key)`
-    /// order once there are `k + 1`.
-    entries: Vec<(f64, u64, f64)>,
+    /// `(key, weight)` of the `k + 1` smallest finite ranks seen,
+    /// ascending by `(rank, key)`.
+    entries: Vec<(u64, f64)>,
+    /// r₍ₖ₎, the rank of `entries[k - 1]`; `+∞` while fewer than `k`.
+    kth_rank: f64,
+    /// r₍ₖ₊₁₎, the rank of `entries[k]`; `+∞` while fewer than `k + 1`,
+    /// so that every finite rank passes the rejection test.
+    next_rank: f64,
 }
 
 impl BottomKStream {
-    /// Feeds one observation to the sampler: rank it `u/w`, keep it while
-    /// it is among the `k + 1` smallest finite ranks, evict the largest
-    /// otherwise. Inactive observations (`w <= 0`, non-finite `w`) and
-    /// infinite ranks are never retained: a positive weight at or below
-    /// `1.0 / f64::MAX` (2⁻¹⁰²⁴, about 5.6·10⁻³⁰⁹, subnormal) can
-    /// overflow `u/w` to `+∞` at its key's seed, and is then dropped like
-    /// a zero.
-    ///
-    /// Returns whether the retained state changed — `true` exactly when
-    /// the observation was retained (so a subsequent
-    /// [`sample`](BottomKStream::sample) snapshot differs from the one
-    /// before the insert), `false` when it was rejected. In a warm
-    /// stream almost every observation ranks above the resident
-    /// `(k+1)`-th and is rejected in `O(1)`, which is what lets callers
-    /// maintaining derived state (a live band index, say) pay the
-    /// re-derivation cost only on the `O(k log n)` accepted inserts.
-    pub fn insert(&mut self, key: u64, w: f64) -> bool {
-        if !(w > 0.0 && w.is_finite()) {
-            return false;
-        }
-        let rank = self.seeder.seed(key) / w;
-        if !rank.is_finite() {
-            return false;
-        }
-        let entry = (rank, key, w);
-        if self.entries.len() <= self.k {
-            self.entries.push(entry);
-            if self.entries.len() > self.k {
-                self.entries.sort_unstable_by(by_rank_key);
-            }
-        } else if by_rank_key(&entry, &self.entries[self.k]).is_lt() {
-            // Evict the (k+1)-th: shift each larger entry up one slot,
-            // walking from the end (measured faster than a binary search
-            // plus `Vec::insert` at sketch sizes).
-            let mut at = self.k;
-            while at > 0 && by_rank_key(&entry, &self.entries[at - 1]).is_lt() {
-                self.entries[at] = self.entries[at - 1];
-                at -= 1;
-            }
-            self.entries[at] = entry;
-        } else {
-            return false;
-        }
-        true
-    }
-
     /// Number of ranked entries currently resident (at most `k + 1`).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -329,27 +362,17 @@ impl BottomKStream {
         self.entries.is_empty()
     }
 
-    /// Snapshots the current sample without consuming the stream (live
-    /// queries over a store that keeps ingesting).
-    pub fn sample(&self) -> BottomKSample {
-        self.clone().into_sample()
+    /// The retained entries: all but the (k+1)-th, which is resident
+    /// exactly when r₍ₖ₊₁₎ is finite.
+    fn retained(&self) -> &[(u64, f64)] {
+        let full = usize::from(self.next_rank.is_finite());
+        &self.entries[..self.entries.len() - full]
     }
 
-    /// Finalizes the stream into its sample: the `k` smallest ranks
-    /// ascending, plus the `(k+1)`-th as the retained-item threshold when
-    /// the stream saw more than `k` finite ranks.
-    pub fn into_sample(mut self) -> BottomKSample {
-        let next_rank = if self.entries.len() > self.k {
-            self.entries.pop().map(|(r, _, _)| r)
-        } else {
-            self.entries.sort_unstable_by(by_rank_key);
-            None
-        };
-        BottomKSample {
-            k: self.k,
-            entries: self.entries,
-            next_rank,
-        }
+    /// The keys of the retained entries in ascending rank order — what a
+    /// band signature reads — without copying a snapshot.
+    pub fn retained_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.retained().iter().map(|&(key, _)| key)
     }
 }
 
@@ -394,22 +417,143 @@ impl BottomK {
         &self.seeder
     }
 
-    /// An empty online sampler sharing this sampler's `k` and seed hash —
-    /// the streaming insert/evict path resident stores ingest through
-    /// ([`BottomKStream`]).
+    /// An empty online sampler for this sampler's `k` and seed hash to
+    /// [`ingest`](BottomK::ingest) into — the streaming insert/evict path
+    /// resident stores hold one of per instance ([`BottomKStream`]).
     pub fn stream(&self) -> BottomKStream {
         BottomKStream {
+            entries: Vec::with_capacity(self.k + 1),
+            kth_rank: f64::INFINITY,
+            next_rank: f64::INFINITY,
+        }
+    }
+
+    /// Feeds a batch of observations to `stream`, which must come from
+    /// this sampler's [`stream`](BottomK::stream): each is ranked `u/w`,
+    /// kept while it is among the `k + 1` smallest finite ranks, and the
+    /// largest is evicted otherwise. Inactive observations (`w <= 0`,
+    /// non-finite `w`) and infinite ranks are never retained: a positive
+    /// weight at or below `1.0 / f64::MAX` (2⁻¹⁰²⁴, about 5.6·10⁻³⁰⁹,
+    /// subnormal) can overflow `u/w` to `+∞` at its key's seed, and is
+    /// then dropped like a zero.
+    ///
+    /// The batch is hashed in bulk ([`SeedHasher::seed_many`]) and each
+    /// observation ranking above r₍ₖ₊₁₎ is rejected with one comparison.
+    /// Only from the first observation that passes on are the resident
+    /// ranks re-derived, into a scratch buffer, and the rest of the batch
+    /// inserted over them; the thresholds are written back at the end.
+    /// The retained entries are the `k + 1` smallest by `(rank, key)`
+    /// however the observations are split into batches.
+    ///
+    /// Returns whether the retained state changed — `true` exactly when
+    /// some observation was retained (so a subsequent
+    /// [`snapshot`](BottomK::snapshot) differs from the one before the
+    /// batch), `false` when all were rejected. In a warm stream almost
+    /// every observation is rejected, which is what lets callers
+    /// maintaining derived state (a live band index, say) pay the
+    /// re-derivation cost only on the `O(k log n)` accepted inserts.
+    pub fn ingest(&self, stream: &mut BottomKStream, items: &[(u64, f64)]) -> bool {
+        let (mut keys, mut seeds) = ([0; CHUNK], [0.0; CHUNK]);
+        for (c, chunk) in items.chunks(CHUNK).enumerate() {
+            let seeds = seed_chunk(&self.seeder, chunk, &mut keys, &mut seeds);
+            let first = chunk.iter().zip(seeds).position(|(&(_, w), &u)| {
+                rank_of(u, w).is_some_and(|rank| rank <= stream.next_rank)
+            });
+            if let Some(i) = first {
+                return self.insert_from(stream, &items[c * CHUNK + i..]);
+            }
+        }
+        false
+    }
+
+    /// The accepting half of [`ingest`](BottomK::ingest): re-derives the
+    /// resident `(rank, key, weight)` triples into a scratch buffer, runs
+    /// the insertion below over every observation of `items`, and writes
+    /// keys, weights and both thresholds back.
+    ///
+    /// The insertion keeps arrival order until the buffer first fills to
+    /// `k + 1` and sorts it by `(rank, key)` once; from then on a warm
+    /// rejection is one comparison with the last triple, and an accepted
+    /// insert shifts the larger triples up one slot over the evicted last
+    /// one, walking from the end (measured faster than a binary search
+    /// plus `Vec::insert` at sketch sizes).
+    fn insert_from(&self, stream: &mut BottomKStream, items: &[(u64, f64)]) -> bool {
+        let k = self.k;
+        let (mut stack, mut heap) = ([(0.0, 0, 0.0); STACK_RANKS], Vec::new());
+        let ranked = if k < STACK_RANKS {
+            &mut stack[..=k]
+        } else {
+            heap.resize(k + 1, (0.0, 0, 0.0));
+            &mut heap[..]
+        };
+        let (mut keys, mut seeds) = ([0; CHUNK], [0.0; CHUNK]);
+        for (chunk, out) in stream.entries.chunks(CHUNK).zip(ranked.chunks_mut(CHUNK)) {
+            let seeds = seed_chunk(&self.seeder, chunk, &mut keys, &mut seeds);
+            for ((slot, &u), &(key, w)) in out.iter_mut().zip(seeds).zip(chunk) {
+                *slot = (u / w, key, w);
+            }
+        }
+        let mut len = stream.entries.len();
+        let mut changed = false;
+        for chunk in items.chunks(CHUNK) {
+            let seeds = seed_chunk(&self.seeder, chunk, &mut keys, &mut seeds);
+            for (&(key, w), &u) in chunk.iter().zip(seeds) {
+                let Some(rank) = rank_of(u, w) else {
+                    continue;
+                };
+                let entry = (rank, key, w);
+                if len <= k {
+                    ranked[len] = entry;
+                    len += 1;
+                    if len > k {
+                        ranked.sort_unstable_by(by_rank_key);
+                    }
+                } else if by_rank_key(&entry, &ranked[k]).is_lt() {
+                    let mut at = k;
+                    while at > 0 && by_rank_key(&entry, &ranked[at - 1]).is_lt() {
+                        ranked[at] = ranked[at - 1];
+                        at -= 1;
+                    }
+                    ranked[at] = entry;
+                } else {
+                    continue;
+                }
+                changed = true;
+            }
+        }
+        let ranked = &mut ranked[..len];
+        if len <= k {
+            ranked.sort_unstable_by(by_rank_key);
+        }
+        stream.entries.clear();
+        stream
+            .entries
+            .extend(ranked.iter().map(|&(_, key, w)| (key, w)));
+        let rank_at = |i: usize| ranked.get(i).map_or(f64::INFINITY, |t| t.0);
+        stream.kth_rank = rank_at(k - 1);
+        stream.next_rank = rank_at(k);
+        changed
+    }
+
+    /// Snapshots `stream`'s current sample without consuming it (live
+    /// queries over a store that keeps ingesting): the first `k` entries
+    /// and both thresholds, no ranks.
+    pub fn snapshot(&self, stream: &BottomKStream) -> BottomKSample {
+        BottomKSample {
             k: self.k,
             seeder: self.seeder,
-            entries: Vec::with_capacity(self.k + 1),
+            entries: stream.retained().to_vec(),
+            kth_rank: stream.kth_rank,
+            next_rank: stream.next_rank,
         }
     }
 
     /// Samples one instance: the `k` smallest-rank items.
     ///
-    /// This is [`BottomK::stream`] fed with the instance's items — the
-    /// batch path **is** the online path, so incrementally built sketches
-    /// and full-map samples are identical by construction.
+    /// This is [`BottomK::stream`] fed with the instance's items in one
+    /// [`ingest`](BottomK::ingest) batch — the batch path **is** the
+    /// online path, so incrementally built sketches and full-map samples
+    /// are identical by construction.
     ///
     /// Items with an infinite rank (a positive weight at or below
     /// `1.0 / f64::MAX`, 2⁻¹⁰²⁴ and subnormal, can overflow `u/w` to `+∞`) are
@@ -422,11 +566,10 @@ impl BottomK {
     /// conditioned threshold value (it is equivalent to "fewer than `k`
     /// others exist").
     pub fn sample_instance(&self, inst: &Instance) -> BottomKSample {
+        let items: Vec<(u64, f64)> = inst.iter().collect();
         let mut stream = self.stream();
-        for (key, w) in inst.iter() {
-            stream.insert(key, w);
-        }
-        stream.into_sample()
+        self.ingest(&mut stream, &items);
+        self.snapshot(&stream)
     }
 
     /// The conditioned per-item monotone problem of `key` over coordinated
@@ -479,7 +622,8 @@ mod tests {
         let s = sampler.sample_instance(&inst);
         assert_eq!(s.len(), 20);
         // Every non-sampled item must have rank >= every sampled rank.
-        let max_in = s.entries.last().unwrap().0;
+        let max_in = s.kth_rank;
+        assert_eq!(max_in, s.conditioned_rank_threshold(u64::MAX));
         for (key, w) in inst.iter() {
             if !s.contains(key) {
                 let r = sampler.seeder().seed(key) / w;
@@ -618,24 +762,33 @@ mod tests {
         }
     }
 
-    /// The pre-stream batch algorithm (collect, stable-sort by rank,
-    /// truncate), kept as the reference the online insert/evict path must
-    /// reproduce bit for bit.
-    fn sort_based_sample(sampler: &BottomK, inst: &Instance) -> BottomKSample {
-        let mut ranked: Vec<(f64, u64, f64)> = inst
+    /// The pre-stream batch algorithm (rank every active item, sort by
+    /// `(rank, key)`, truncate), kept as the reference the online path
+    /// must reproduce bit for bit from any arrival order and batch split.
+    fn sort_based_sample(sampler: &BottomK, items: &[(u64, f64)]) -> BottomKSample {
+        let k = sampler.k();
+        let mut ranked: Vec<(f64, u64, f64)> = items
             .iter()
-            .map(|(key, w)| (sampler.seeder().seed(key) / w, key, w))
+            .filter(|&&(_, w)| w > 0.0 && w.is_finite())
+            .map(|&(key, w)| (sampler.seeder().seed(key) / w, key, w))
             .collect();
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let next_rank = ranked
-            .get(sampler.k())
+            .get(k)
             .map(|&(r, _, _)| r)
-            .filter(|r| r.is_finite());
-        ranked.truncate(sampler.k());
+            .filter(|r| r.is_finite())
+            .unwrap_or(f64::INFINITY);
+        ranked.truncate(k);
         ranked.retain(|&(r, _, _)| r.is_finite());
+        let kth_rank = match ranked.get(k - 1) {
+            Some(&(r, _, _)) => r,
+            None => f64::INFINITY,
+        };
         BottomKSample {
-            k: sampler.k(),
-            entries: ranked,
+            k,
+            seeder: *sampler.seeder(),
+            entries: ranked.iter().map(|&(_, key, w)| (key, w)).collect(),
+            kth_rank,
             next_rank,
         }
     }
@@ -644,7 +797,7 @@ mod tests {
     fn streamed_sample_is_bit_identical_to_sort_based() {
         // Streams that never fill (n <= k), that fill exactly at the last
         // item (n = k + 1), and that run warm long after.
-        for (n, k) in [
+        let mut cases: Vec<(String, BottomK, Vec<(u64, f64)>)> = [
             (0u64, 3),
             (3, 8),
             (7, 7),
@@ -655,31 +808,60 @@ mod tests {
             (65, 64),
             (1, 1),
             (40, 1),
-        ] {
+        ]
+        .into_iter()
+        .map(|(n, k)| {
             let inst = test_instance(n);
             let sampler = BottomK::new(k, SeedHasher::new(n + k as u64));
-            let streamed = sampler.sample_instance(&inst);
-            let sorted = sort_based_sample(&sampler, &inst);
-            assert_eq!(streamed, sorted, "n={n} k={k}");
-            // Every prefix, in arrival order and reversed: the live
-            // snapshot equals the batch sample of what arrived so far and
-            // the finalized stream, before and after the first fill sorts
-            // the entries.
-            let mut items: Vec<(u64, f64)> = inst.iter().collect();
+            let items: Vec<(u64, f64)> = inst.iter().collect();
+            assert_eq!(
+                sampler.sample_instance(&inst),
+                sort_based_sample(&sampler, &items),
+                "n={n} k={k}"
+            );
+            (format!("n={n} k={k}"), sampler, items)
+        })
+        .collect();
+        // Repeated keys: each repeat is a second observation, with the
+        // same weight (an equal (rank, key) entry) or another one.
+        let repeated = (0..150u64).map(|i| (i % 40, 1.0 + (i % 3 * (i / 40)) as f64));
+        cases.push((
+            "repeated keys".to_owned(),
+            BottomK::new(7, SeedHasher::new(17)),
+            repeated.collect(),
+        ));
+        // Subnormal weights rank +∞ and are never retained; zero weights
+        // are inactive.
+        let tiny = (0..120u64).map(|k| (k, [TINY, 0.0, 0.5 + (k % 7) as f64][(k % 3) as usize]));
+        cases.push((
+            "TINY weights".to_owned(),
+            BottomK::new(16, SeedHasher::new(77)),
+            tiny.collect(),
+        ));
+        // Every batch split, in arrival order and reversed: after every
+        // batch the live snapshot equals the reference sample of what
+        // arrived so far, and the batch reports a change exactly when the
+        // snapshot changed.
+        for (name, sampler, mut items) in cases {
+            let whole = sort_based_sample(&sampler, &items);
             for reversed in [false, true] {
                 if reversed {
                     items.reverse();
                 }
-                let mut stream = sampler.stream();
-                for (i, &(key, w)) in items.iter().enumerate() {
-                    stream.insert(key, w);
-                    let prefix = Instance::from_pairs(items[..=i].iter().copied());
-                    let snapshot = stream.sample();
-                    let at = format!("n={n} k={k} prefix={} rev={reversed}", i + 1);
-                    assert_eq!(snapshot, sort_based_sample(&sampler, &prefix), "{at}");
-                    assert_eq!(snapshot, stream.clone().into_sample(), "{at}");
+                for size in [1, 2, 63, 64, 65, items.len().max(1)] {
+                    let mut stream = sampler.stream();
+                    let mut before = sampler.snapshot(&stream);
+                    for (b, batch) in items.chunks(size).enumerate() {
+                        let changed = sampler.ingest(&mut stream, batch);
+                        let end = b * size + batch.len();
+                        let at = format!("{name} rev={reversed} batch={size} prefix={end}");
+                        let snapshot = sampler.snapshot(&stream);
+                        assert_eq!(snapshot, sort_based_sample(&sampler, &items[..end]), "{at}");
+                        assert_eq!(changed, snapshot != before, "{at}");
+                        before = snapshot;
+                    }
+                    assert_eq!(before, whole, "{name} rev={reversed} batch={size}");
                 }
-                assert_eq!(stream.into_sample(), sorted, "rev={reversed} n={n} k={k}");
             }
         }
     }
@@ -695,11 +877,12 @@ mod tests {
         assert_eq!(seeder.seed(poisoned) / TINY, f64::INFINITY);
         let mut inst = test_instance(10);
         inst.set(poisoned, TINY);
+        let items: Vec<(u64, f64)> = inst.iter().collect();
         for k in [2, 10, 11, 12] {
             let sampler = BottomK::new(k, seeder);
             assert_eq!(
                 sampler.sample_instance(&inst),
-                sort_based_sample(&sampler, &inst),
+                sort_based_sample(&sampler, &items),
                 "k={k}"
             );
         }
@@ -707,20 +890,20 @@ mod tests {
 
     #[test]
     fn insert_reports_exactly_the_retained_state_changes() {
-        // The live-index maintenance contract: insert returns true iff
-        // the retained entries changed, i.e. iff sample() snapshots taken
-        // before and after the insert differ.
+        // The live-index maintenance contract: a one-item ingest returns
+        // true iff the retained entries changed, i.e. iff snapshots taken
+        // before and after it differ.
         let sampler = BottomK::new(3, SeedHasher::new(11));
         let mut stream = sampler.stream();
         // Inactive observations never change anything.
-        assert!(!stream.insert(1, 0.0));
-        assert!(!stream.insert(2, f64::NAN));
+        assert!(!sampler.ingest(&mut stream, &[(1, 0.0)]));
+        assert!(!sampler.ingest(&mut stream, &[(2, f64::NAN)]));
         // Filling the k+1 slots always changes state.
         let mut accepted = Vec::new();
         for key in 0..200u64 {
-            let before = stream.sample();
-            let changed = stream.insert(key, 1.0 + (key % 5) as f64);
-            let after = stream.sample();
+            let before = sampler.snapshot(&stream);
+            let changed = sampler.ingest(&mut stream, &[(key, 1.0 + (key % 5) as f64)]);
+            let after = sampler.snapshot(&stream);
             assert_eq!(changed, before != after, "key {key}");
             if changed {
                 accepted.push(key);
@@ -734,30 +917,31 @@ mod tests {
         // change. The largest weight that can rank +∞ is 1.0 / f64::MAX
         // (2⁻¹⁰²⁴), at seed 1.0; the next weight up ranks finite.
         let mut cold = sampler.stream();
-        assert!(!cold.insert(7, TINY));
+        assert!(!sampler.ingest(&mut cold, &[(7, TINY)]));
         let top = sampler.seeder().key_for_raw(u64::MAX);
         let edge = 1.0 / f64::MAX;
-        assert!(!cold.insert(top, edge));
+        assert!(!sampler.ingest(&mut cold, &[(top, edge)]));
         assert!(cold.is_empty());
-        assert!(cold.insert(top, edge.next_up()));
+        assert!(sampler.ingest(&mut cold, &[(top, edge.next_up())]));
     }
 
     #[test]
     fn stream_ignores_inactive_observations() {
         let sampler = BottomK::new(4, SeedHasher::new(9));
         let mut stream = sampler.stream();
-        stream.insert(1, 0.0);
-        stream.insert(2, -1.0);
-        stream.insert(3, f64::NAN);
-        stream.insert(4, f64::INFINITY);
+        let inactive = [(1, 0.0), (2, -1.0), (3, f64::NAN), (4, f64::INFINITY)];
+        assert!(!sampler.ingest(&mut stream, &inactive));
         assert!(stream.is_empty());
-        stream.insert(5, 1.25);
+        assert!(sampler.ingest(&mut stream, &[(5, 1.25)]));
         assert_eq!(stream.len(), 1);
-        // A live snapshot and the finalized sample agree.
-        assert_eq!(stream.sample(), stream.clone().into_sample());
-        let s = stream.into_sample();
+        // The live snapshot is the sample of the active item alone.
+        let s = sampler.snapshot(&stream);
+        assert_eq!(
+            s,
+            sampler.sample_instance(&Instance::from_pairs([(5, 1.25)]))
+        );
         assert_eq!(s.get(5), Some(1.25));
-        assert_eq!(s.next_rank, None);
+        assert_eq!(s.next_rank, f64::INFINITY);
         assert_eq!(s.conditioned_rank_threshold(5), f64::INFINITY);
     }
 
@@ -767,7 +951,8 @@ mod tests {
         let sampler = BottomK::new(10, SeedHasher::new(5));
         let s = sampler.sample_instance(&inst);
         // Every retained item conditions on the one (k+1)-th rank.
-        let tau = s.next_rank.unwrap();
+        let tau = s.next_rank;
+        assert!(tau.is_finite());
         for (key, _) in s.iter() {
             assert_eq!(s.conditioned_rank_threshold(key), tau);
         }
@@ -808,7 +993,7 @@ mod tests {
             s.encode_into(&mut enc);
             let bytes = enc.into_bytes();
             let mut dec = Dec::new(&bytes);
-            let back = BottomKSample::decode(&mut dec).unwrap();
+            let back = BottomKSample::decode(&mut dec, n + 1).unwrap();
             dec.finish().unwrap();
             // PartialEq on f64 fields is bit-blind for -0.0 vs 0.0, so
             // also compare the re-encoded bytes.
@@ -830,7 +1015,7 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = 0xff;
         assert!(matches!(
-            BottomKSample::decode(&mut Dec::new(&bad)),
+            BottomKSample::decode(&mut Dec::new(&bad), 9),
             Err(monotone_core::Error::Encoding(_))
         ));
         // Any rank-method tag but priority's 0, including 1 and 2, the
@@ -840,16 +1025,21 @@ mod tests {
             bad[1] = tag;
             assert!(
                 matches!(
-                    BottomKSample::decode(&mut Dec::new(&bad)),
+                    BottomKSample::decode(&mut Dec::new(&bad), 9),
                     Err(monotone_core::Error::Encoding(_))
                 ),
                 "tag {tag}"
             );
         }
+        // Under another salt every rank disagrees with its entry.
+        assert!(matches!(
+            BottomKSample::decode(&mut Dec::new(&good), 10),
+            Err(monotone_core::Error::Encoding(_))
+        ));
         // Truncation anywhere must error, never panic.
         for cut in 0..good.len() {
             assert!(
-                BottomKSample::decode(&mut Dec::new(&good[..cut])).is_err(),
+                BottomKSample::decode(&mut Dec::new(&good[..cut]), 9).is_err(),
                 "truncation at {cut} slipped through"
             );
         }
@@ -862,51 +1052,73 @@ mod tests {
         huge.put_u8(0); // no next rank
         huge.put_len(1 << 40); // entries
         assert!(matches!(
-            BottomKSample::decode(&mut Dec::new(&huge.into_bytes())),
+            BottomKSample::decode(&mut Dec::new(&huge.into_bytes()), 9),
             Err(monotone_core::Error::Encoding(_))
         ));
     }
+
+    /// The seed-hash salt of [`pinned_sample`].
+    const PINNED_SALT: u64 = 0x5eed_0016;
 
     /// The k = 32 sample the corruption sweep and the pinned-bytes test
     /// both encode.
     fn pinned_sample() -> BottomKSample {
         let inst = Instance::from_pairs((0..120u64).map(|k| (k * 7 + 3, 0.5 + (k % 9) as f64)));
-        BottomK::new(32, SeedHasher::new(0x5eed_0016)).sample_instance(&inst)
+        BottomK::new(32, SeedHasher::new(PINNED_SALT)).sample_instance(&inst)
     }
 
     /// Corruption sweep: every truncation and every single-bit flip of a
     /// pinned k = 32 sample that carries a next rank decodes to `Ok` or
-    /// to a typed `Encoding` error, never a panic, and every sample that
-    /// does decode keeps its entries strictly ascending by `(rank, key)`.
+    /// to a typed `Encoding` error, never a panic. Every flip of an
+    /// entry's rank bits is refused, and every sample that does decode
+    /// keeps its entries strictly ascending by `(rank, key)`, each wire
+    /// rank equal to `seed(key) / w`.
     #[test]
     fn decode_survives_every_truncation_and_bit_flip() {
         let s = pinned_sample();
         assert_eq!(s.len(), 32);
-        assert!(s.next_rank.is_some());
+        assert!(s.next_rank.is_finite());
         let mut enc = Enc::new();
         s.encode_into(&mut enc);
         let good = enc.into_bytes();
-        let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
+        // Version, tag, k, next-rank flag and value, entry count; then
+        // 24-byte (rank, key, weight) entries.
+        const HEADER: usize = 1 + 1 + 8 + 1 + 8 + 8;
+        assert_eq!(good.len(), HEADER + 24 * s.len());
+        let is_rank_byte = |byte: usize| byte >= HEADER && (byte - HEADER) % 24 < 8;
+        let seeder = SeedHasher::new(PINNED_SALT);
+        let cuts = (0..good.len()).map(|cut| (None, good[..cut].to_vec()));
         let flips = (0..good.len() * 8).map(|bit| {
             let mut bad = good.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            bad
+            (Some(bit / 8), bad)
         });
         let (mut ok, mut refused) = (0, 0);
-        for bad in cuts.chain(flips) {
-            match BottomKSample::decode(&mut Dec::new(&bad)) {
+        for (flipped, bad) in cuts.chain(flips) {
+            match BottomKSample::decode(&mut Dec::new(&bad), PINNED_SALT) {
                 Ok(back) => {
                     ok += 1;
-                    assert!(back
-                        .entries
-                        .windows(2)
-                        .all(|w| by_rank_key(&w[0], &w[1]).is_lt()));
+                    assert!(
+                        !flipped.is_some_and(is_rank_byte),
+                        "a flip in rank byte {flipped:?} decoded"
+                    );
+                    let ranked: Vec<(f64, u64, f64)> = back
+                        .iter()
+                        .map(|(key, w)| (seeder.seed(key) / w, key, w))
+                        .collect();
+                    assert!(ranked.windows(2).all(|w| by_rank_key(&w[0], &w[1]).is_lt()));
+                    for (i, &(rank, _, _)) in ranked.iter().enumerate() {
+                        let at = HEADER + 24 * i;
+                        let wire = u64::from_le_bytes(bad[at..at + 8].try_into().unwrap());
+                        assert_eq!(wire, rank.to_bits(), "entry {i}, flip in {flipped:?}");
+                    }
                 }
                 Err(monotone_core::Error::Encoding(_)) => refused += 1,
                 Err(other) => panic!("decode failed with a non-encoding error: {other:?}"),
             }
         }
-        // Flipped weight bits decode; truncations and version flips do not.
+        // Flipped k and next-rank bits can decode; truncations, version
+        // flips and entry flips do not.
         assert!(ok > 0 && refused > good.len());
     }
 

@@ -211,6 +211,16 @@ impl BandConfig {
     /// so two coordinated sketches agree on a slot exactly when the
     /// least-rank item of that key region is retained by both.
     pub fn signature(&self, sketch: &BottomKSample) -> Box<[(u32, u64)]> {
+        self.signature_of_keys(sketch.iter().map(|(key, _)| key))
+    }
+
+    /// [`signature`](BandConfig::signature) of a sketch's retained keys,
+    /// given in ascending rank order — what a shard signs straight from a
+    /// resident stream, without a snapshot.
+    pub(crate) fn signature_of_keys(
+        &self,
+        keys: impl IntoIterator<Item = u64>,
+    ) -> Box<[(u32, u64)]> {
         let n = self.slots();
         let (mut stack, mut heap) = ([None; STACK_SLOTS], Vec::new());
         let slots = if n <= STACK_SLOTS {
@@ -221,11 +231,11 @@ impl BandConfig {
         };
         // The slot a key feeds is a pure function of `(salt, key)` —
         // shared by every instance, which is what makes slot values
-        // comparable. `iter()` yields retained entries in ascending rank
-        // order, so the first key to claim a slot is its min-rank key.
+        // comparable. Keys arrive in ascending rank order, so the first
+        // key to claim a slot is its min-rank key.
         let slot_salt = splitmix64(self.salt ^ SLOT_GAMMA);
         let n = n as u64;
-        for (key, _w) in sketch.iter() {
+        for key in keys {
             let h = splitmix64(key ^ slot_salt);
             // For a power of two, `& (n - 1)` is `% n` without the division.
             let slot = if n.is_power_of_two() {
@@ -469,7 +479,13 @@ impl BandIndex {
     /// This is the live-maintenance primitive: an index updated on every
     /// sketch change stays identical to a from-scratch rebuild.
     pub fn insert(&mut self, id: u64, sketch: &BottomKSample) {
-        let new = self.cfg.signature(sketch);
+        self.insert_keys(id, sketch.iter().map(|(key, _)| key));
+    }
+
+    /// [`insert`](BandIndex::insert) of a sketch's retained keys, given in
+    /// ascending rank order ([`BandConfig::signature`]'s key walk).
+    pub(crate) fn insert_keys(&mut self, id: u64, keys: impl IntoIterator<Item = u64>) {
+        let new = self.cfg.signature_of_keys(keys);
         let sig = self.signatures.entry(id).or_default();
         let old = std::mem::replace(sig, new);
         if let Some(table) = self.table.get_mut() {

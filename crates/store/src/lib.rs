@@ -6,7 +6,8 @@
 //! to hold the full weight maps. This crate holds **sketches** instead:
 //! one coordinated bottom-k sample per instance (a
 //! [`BottomKStream`](monotone_coord::bottomk::BottomKStream) with
-//! priority ranks), ingested item by item. A query names an ad-hoc group
+//! priority ranks, holding `(key, weight)` entries and no ranks),
+//! ingested batch by batch. A query names an ad-hoc group
 //! of instance ids; the store snapshots the group's sketches, merges
 //! them into a [`SketchUnion`] item stream, and compiles the caller's
 //! [`EngineQuery`] against the per-sketch conditioned inclusion scales —
@@ -424,10 +425,20 @@ impl SketchStore {
         let mut ids = group.to_vec();
         ids.sort_unstable();
         ids.dedup();
-        let fetched = self.fetch_sketches(&ids)?;
+        let mut fetched = self.fetch_sketches(&ids)?;
+        // Each fetched sample is a fresh snapshot: move it out at its
+        // last mention in the group, and clone only for an id the group
+        // names again later.
         let sketches: Vec<BottomKSample> = group
             .iter()
-            .map(|id| fetched.get(id).cloned().expect("group ids were fetched"))
+            .enumerate()
+            .map(|(i, id)| {
+                if group[i + 1..].contains(id) {
+                    fetched[id].clone()
+                } else {
+                    fetched.remove(id).expect("group ids were fetched")
+                }
+            })
             .collect();
         let union = SketchUnion::new(&sketches);
         let scales = union

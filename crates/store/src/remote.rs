@@ -83,6 +83,9 @@ enum ConnState {
 #[derive(Debug)]
 pub struct ProcessShard {
     ordinal: usize,
+    /// The seed-hash salt the worker samples under, which decoding its
+    /// sketches re-derives their ranks with.
+    salt: u64,
     conn: Mutex<ConnState>,
 }
 
@@ -142,6 +145,7 @@ impl ProcessShard {
         }
         Ok(ProcessShard {
             ordinal,
+            salt,
             conn: Mutex::new(ConnState::Live(Box::new(conn))),
         })
     }
@@ -258,7 +262,7 @@ impl ShardBackend for ProcessShard {
             ids.iter()
                 .map(|_| match dec.take_u8()? {
                     0 => Ok(None),
-                    1 => BottomKSample::decode(dec).map(Some),
+                    1 => BottomKSample::decode(dec, self.salt).map(Some),
                     t => Err(Error::Encoding(format!("bad presence flag {t}"))),
                 })
                 .collect()
@@ -628,7 +632,7 @@ mod tests {
         let mut dec = Dec::new(&resp);
         assert_eq!(dec.take_u8().unwrap(), STATUS_OK);
         assert_eq!(dec.take_u8().unwrap(), 1);
-        let remote_sketch = BottomKSample::decode(&mut dec).unwrap();
+        let remote_sketch = BottomKSample::decode(&mut dec, 42).unwrap();
         assert_eq!(dec.take_u8().unwrap(), 0, "id 99 is absent");
         dec.finish().unwrap();
         assert_eq!(

@@ -62,9 +62,9 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
 
     /// Bulk ingest of `items` into `instance`'s sketch, creating the
     /// sketch on first touch — one lock acquisition (and, for a remote
-    /// shard, one round trip) for the whole batch. Inactive observations
-    /// (`w <= 0`, non-finite) are ignored, matching
-    /// [`BottomKStream::insert`].
+    /// shard, one round trip) for the whole batch, ingested as one
+    /// [`BottomK::ingest`] batch. Inactive observations (`w <= 0`,
+    /// non-finite) are ignored.
     ///
     /// # Errors
     ///
@@ -202,15 +202,13 @@ impl ShardBackend for LocalShard {
             Entry::Occupied(e) => (false, e.into_mut()),
             Entry::Vacant(e) => (true, e.insert(self.sampler.stream())),
         };
-        let mut changed = false;
-        for &(key, w) in items {
-            changed |= stream.insert(key, w);
-        }
+        let changed = self.sampler.ingest(stream, items);
         // Live maintenance pays one re-registration per batch, not per
-        // item, and nothing at all when every item was rejected.
+        // item, and nothing at all when every item was rejected. It signs
+        // the stream's retained keys directly, no snapshot.
         if created || changed {
             if let Some(live) = &mut state.live {
-                live.insert(instance, &stream.sample());
+                live.insert_keys(instance, stream.retained_keys());
             }
         }
         Ok(())
@@ -235,27 +233,32 @@ impl ShardBackend for LocalShard {
         let state = self.lock();
         Ok(ids
             .iter()
-            .map(|id| state.sketches.get(id).map(BottomKStream::sample))
+            .map(|id| state.sketches.get(id).map(|s| self.sampler.snapshot(s)))
             .collect())
     }
 
     fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex> {
-        // Copy the samples under the lock (no hashing inside the
-        // critical section), then hash them after release, so
+        // Copy only the retained keys under the lock, into one flat
+        // buffer with each id's end offset (no hashing inside the
+        // critical section), then sign them after release, so
         // concurrent ingest never stalls behind a resident build. The
         // partial carries signatures only; whoever probes it builds the
         // bucket table.
-        let samples: Vec<(u64, BottomKSample)> = {
+        let (ends, keys) = {
             let state = self.lock();
-            state
-                .sketches
-                .iter()
-                .map(|(&id, stream)| (id, stream.sample()))
-                .collect()
+            let mut ends = Vec::with_capacity(state.sketches.len());
+            let mut keys = Vec::with_capacity(state.sketches.len() * self.sampler.k());
+            for (&id, stream) in &state.sketches {
+                keys.extend(stream.retained_keys());
+                ends.push((id, keys.len()));
+            }
+            (ends, keys)
         };
         let mut part = BandIndex::new(*cfg);
-        for (id, sample) in &samples {
-            part.insert(*id, sample);
+        let mut start = 0;
+        for (id, end) in ends {
+            part.insert_keys(id, keys[start..end].iter().copied());
+            start = end;
         }
         Ok(part)
     }
@@ -265,7 +268,7 @@ impl ShardBackend for LocalShard {
         let state = &mut *state;
         let mut live = BandIndex::new(*cfg);
         for (&id, stream) in &state.sketches {
-            live.insert(id, &stream.sample());
+            live.insert_keys(id, stream.retained_keys());
         }
         state.live = Some(live);
         Ok(())
